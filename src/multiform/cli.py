@@ -16,7 +16,7 @@ from pathlib import PurePath
 
 from .dtd import builtin_schema, parse_dtd, validate
 from .errors import MultiformError, UnknownId
-from .extract import extract_subdocument
+from .extract import extract_subdocument, read_text
 from .loader import OdsStore, export, load, shred
 from .mapper import emit_ddl, map_schema
 from .model import make_complex_object
@@ -105,8 +105,7 @@ def _schema_for(args):
     if args.dtd is None:
         return builtin_schema()
     _require(args.dtd, "DTD")
-    with open(args.dtd, encoding="utf-8") as fh:
-        return parse_dtd(fh.read())
+    return parse_dtd(read_text(args.dtd))
 
 
 def _write(path, text):
@@ -142,8 +141,7 @@ def cmd_schema(args) -> int:
 
 def _validated(doc_path, schema):
     _require(doc_path, "document")
-    with open(doc_path, encoding="utf-8") as fh:
-        document = parse_document(fh.read())
+    document = parse_document(read_text(doc_path))
     report = validate(document.root, schema)
     if not report.valid:
         for violation in report.violations:

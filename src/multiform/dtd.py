@@ -11,9 +11,11 @@ is plain regular-language matching with a recorded failure position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from importlib import resources
+from itertools import count
 
 from .errors import (
     DtdSyntaxError,
@@ -69,6 +71,12 @@ class DtdSchema:
 
     def is_leaf(self, name: str) -> bool:
         return isinstance(self.elements[name], PCData)
+
+    @cached_property
+    def _automata(self) -> dict:
+        """Each element's content model compiled once: name -> _Automaton."""
+        return {name: _Automaton(model) for name, model in self.elements.items()
+                if not isinstance(model, PCData)}
 
 
 # -- lexer ---------------------------------------------------------------------
@@ -381,56 +389,181 @@ class _Failure:
             self.expected.add(name)
 
 
-def _matches(model, names, pos, fail):
-    """Yield (end position, match tree) for every way model matches names[pos:]."""
+# A content model compiles to a position automaton (Glushkov; Brueggemann-Klein
+# and Wood, "One-unambiguous regular languages", 1998): its states are the
+# start and the model's element references, and each step consumes one child.
+# Where a model matches the children in several ways, the match reported is
+# the one a backtracking search finds first: repeats are greedy, the first
+# alternative that leads to a full match wins, and an iteration that consumes
+# nothing is never taken. A run keeps at most one thread per state, in that
+# priority order (a Pike VM; R. Cox, "Regular Expression Matching: the
+# Virtual Machine Approach", 2009), so it takes O(states x children) time and
+# no stack that grows with the children.
+#
+# A thread records the decisions its path took, in the order a left-to-right
+# walk of the model meets them: the index of each alternative chosen, and
+# before each iteration of a repeat whether it iterates or stops (a "?"
+# decides once). Replaying them over the model rebuilds the match tree.
+
+_STOP, _ITERATE = 0, 1
+_ENTER, _EXIT = 0, 1
+_START = -1
+
+
+def _children(model):
+    if isinstance(model, Sequence):
+        return model.parts
+    if isinstance(model, Choice):
+        return model.alternatives
+    if isinstance(model, Repeat):
+        return (model.inner,)
     if isinstance(model, ElementRef):
-        if pos < len(names) and names[pos] == model.name:
-            yield pos + 1, MRef(pos)
-        else:
-            fail.note(pos, model.name)
-    elif isinstance(model, Sequence):
-        def seq(k, at):
-            if k == len(model.parts):
-                yield at, ()
-                return
-            for p1, t1 in _matches(model.parts[k], names, at, fail):
-                for p2, rest in seq(k + 1, p1):
-                    yield p2, (t1,) + rest
-        for end, parts in seq(0, pos):
-            yield end, MSeq(parts)
-    elif isinstance(model, Choice):
-        for k, alt in enumerate(model.alternatives):
-            for end, tree in _matches(alt, names, pos, fail):
-                yield end, MChoice(k, tree)
-    elif isinstance(model, Repeat):
-        if model.mult == "?":
-            for end, tree in _matches(model.inner, names, pos, fail):
-                if end > pos:
-                    yield end, MRep((tree,))
-            yield pos, MRep(())
-        else:
-            def reps(at, acc):
-                for end, tree in _matches(model.inner, names, at, fail):
-                    if end > at:  # zero-width iterations add nothing
-                        yield from reps(end, acc + (tree,))
-                yield at, acc
-            allow_empty = model.mult == "*" or nullable(model.inner)
-            for end, acc in reps(pos, ()):
-                if acc or allow_empty:
-                    yield end, MRep(acc)
-    else:
-        raise TypeError(f"cannot match against {model!r}")
+        return ()
+    raise TypeError(f"cannot match against {model!r}")
+
+
+class _Automaton:
+    """A content model compiled for matching; see match()."""
+
+    def __init__(self, model):
+        self.model = model
+        # number the model's nodes breadth first; the lists grow as they are read
+        models, parents, slots, kids = [model], [-1], [0], []
+        for n, node in enumerate(models):
+            below = _children(node)
+            kids.append(range(len(models), len(models) + len(below)))
+            models.extend(below)
+            parents.extend([n] * len(below))
+            slots.extend(range(len(below)))
+
+        def closure(first):
+            """Walk without consuming from one walk item; the element
+            references reached (None for the end of the model), each with the
+            decisions of its best path, best first."""
+            arrivals = {}
+            seen = set()
+            stack = [first]
+            while stack:
+                kind, n, fresh, taken = stack.pop()
+                # fresh: the repeats whose current iteration consumed nothing
+                if (kind, n, fresh) in seen:
+                    continue  # reached before by a path that takes priority
+                seen.add((kind, n, fresh))
+                node = models[n]
+                if kind == _ENTER:
+                    if isinstance(node, ElementRef):
+                        arrivals.setdefault(n, taken)
+                        continue
+                    if isinstance(node, Sequence):
+                        nxt = [(_ENTER, kids[n][0], fresh, taken)]
+                    elif isinstance(node, Choice):
+                        nxt = [(_ENTER, kid, fresh, taken + (k,))
+                               for k, kid in enumerate(kids[n])]
+                    else:
+                        nxt = [(_ENTER, kids[n][0], fresh | {n}, taken + (_ITERATE,))]
+                        if node.mult != "+" or nullable(node.inner):
+                            nxt.append((_EXIT, n, fresh, taken + (_STOP,)))
+                else:
+                    up = parents[n]
+                    if up < 0:
+                        arrivals.setdefault(None, taken)
+                        continue
+                    parent = models[up]
+                    if isinstance(parent, Sequence) and slots[n] + 1 < len(kids[up]):
+                        nxt = [(_ENTER, kids[up][slots[n] + 1], fresh, taken)]
+                    elif not isinstance(parent, Repeat):
+                        nxt = [(_EXIT, up, fresh, taken)]
+                    elif up in fresh:
+                        continue  # a zero-width iteration
+                    elif parent.mult == "?":
+                        nxt = [(_EXIT, up, fresh, taken)]
+                    else:
+                        nxt = [(_ENTER, n, fresh | {up}, taken + (_ITERATE,)),
+                               (_EXIT, up, fresh, taken + (_STOP,))]
+                stack.extend(reversed(nxt))
+            return arrivals
+
+        # per state: child name -> [(next state, decisions)], best first, and
+        # the decisions that end the model there (None if it cannot end there)
+        self.steps, self.accept = {}, {}
+        starts = [(_START, (_ENTER, 0, frozenset(), ()))]
+        starts.extend((n, (_EXIT, n, frozenset(), ()))
+                      for n, node in enumerate(models) if isinstance(node, ElementRef))
+        for state, first in starts:
+            arrivals = closure(first)
+            self.accept[state] = arrivals.pop(None, None)
+            steps = self.steps[state] = {}
+            for q, taken in arrivals.items():
+                steps.setdefault(models[q].name, []).append((q, taken))
+
+    def match(self, names, fail=None):
+        """Match tree of the child name sequence, or None.
+
+        On failure, fail (a _Failure) notes the first position no thread
+        got past and every name, or "end of children", that was expected
+        there.
+        """
+        # threads: (state, decisions so far as a linked list), best first
+        threads = [(_START, None)]
+        for at, name in enumerate(names):
+            advanced = []
+            seen = set()
+            for state, path in threads:
+                for q, taken in self.steps[state].get(name, ()):
+                    if q not in seen:
+                        seen.add(q)
+                        advanced.append((q, (taken, path) if taken else path))
+            if not advanced:
+                return self._fail(threads, at, len(names), fail)
+            threads = advanced
+        for state, path in threads:
+            taken = self.accept[state]
+            if taken is not None:
+                return self._tree((taken, path))
+        return self._fail(threads, len(names), len(names), fail)
+
+    def _fail(self, threads, at, total, fail):
+        if fail is not None:
+            for state, _ in threads:
+                for name in self.steps[state]:
+                    fail.note(at, name)
+                if at < total and self.accept[state] is not None:
+                    fail.note(at, "end of children")
+        return None
+
+    def _tree(self, path):
+        chunks = []
+        while path is not None:
+            taken, path = path
+            chunks.append(taken)
+        decisions = iter([d for taken in reversed(chunks) for d in taken])
+        index = count()
+
+        def build(model):
+            if isinstance(model, ElementRef):
+                return MRef(next(index))
+            if isinstance(model, Sequence):
+                return MSeq(tuple([build(part) for part in model.parts]))
+            if isinstance(model, Choice):
+                k = next(decisions)
+                return MChoice(k, build(model.alternatives[k]))
+            iterations = []
+            while next(decisions) == _ITERATE:
+                iterations.append(build(model.inner))
+                if model.mult == "?":
+                    break
+            return MRep(tuple(iterations))
+
+        return build(self.model)
 
 
 def match_children(model, names, fail=None):
-    """First full match of the child name sequence, or None."""
-    if fail is None:
-        fail = _Failure()
-    for end, tree in _matches(model, names, 0, fail):
-        if end == len(names):
-            return tree
-        fail.note(end, "end of children")
-    return None
+    """First full match of the child name sequence, or None.
+
+    "First" is the match a backtracking search would find first: repeats
+    greedy, alternatives in order, no zero-width iterations.
+    """
+    return _Automaton(model).match(names, fail)
 
 
 # -- validation -------------------------------------------------------------------
@@ -452,17 +585,26 @@ class ValidationReport:
     document: object
     valid: bool
     violations: tuple[Violation, ...]
+    # element -> match tree of its children, for every element whose children
+    # matched its content model; shred reads these instead of matching again
+    matches: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "violations", tuple(self.violations))
 
 
-def _child_path(parent_path, element, siblings):
-    same = [c for c in siblings if c.tag == element.tag]
-    if len(same) > 1:
-        k = 1 + next(i for i, c in enumerate(same) if c is element)
-        return f"{parent_path}/{element.tag}[{k}]"
-    return f"{parent_path}/{element.tag}"
+def _child_paths(parent_path, names):
+    """Path of each child; a name that repeats among siblings gets [k]."""
+    total = Counter(names)
+    seen = {}
+    paths = []
+    for name in names:
+        if total[name] > 1:
+            k = seen[name] = seen.get(name, 0) + 1
+            paths.append(f"{parent_path}/{name}[{k}]")
+        else:
+            paths.append(f"{parent_path}/{name}")
+    return paths
 
 
 def validate(document, schema: DtdSchema) -> ValidationReport:
@@ -472,17 +614,18 @@ def validate(document, schema: DtdSchema) -> ValidationReport:
     child elements is formatting and is ignored.
     """
     violations = []
+    matches = {}
     path = "/" + document.tag
     if document.tag != schema.root:
         violations.append(Violation(path, f"root element must be {schema.root}",
                                     expected=schema.root))
     if document.tag in schema.elements:
-        _validate_element(document, path, schema, violations)
+        _validate_element(document, path, schema, violations, matches)
     return ValidationReport(document=document, valid=not violations,
-                            violations=tuple(violations))
+                            violations=tuple(violations), matches=matches)
 
 
-def _validate_element(element, path, schema, out):
+def _validate_element(element, path, schema, out, matches):
     model = schema.elements[element.tag]
     children = list(element)
 
@@ -503,7 +646,7 @@ def _validate_element(element, path, schema, out):
 
     fail = _Failure()
     names = [c.tag for c in children]
-    tree = match_children(model, names, fail)
+    tree = schema._automata[element.tag].match(names, fail)
     if tree is None:
         at = fail.pos if fail.pos >= 0 else len(names)
         found = names[at] if at < len(names) else "end of children"
@@ -514,13 +657,14 @@ def _validate_element(element, path, schema, out):
             f"expected one of {{{expected}}}, found {found}",
             expected=render_model(model),
         ))
+    else:
+        matches[element] = tree
 
-    for child in children:
+    for child, child_path in zip(children, _child_paths(path, names)):
         if child.tag not in schema.elements:
-            out.append(Violation(_child_path(path, child, children),
-                                 f"element {child.tag} is not declared"))
+            out.append(Violation(child_path, f"element {child.tag} is not declared"))
             continue
-        _validate_element(child, _child_path(path, child, children), schema, out)
+        _validate_element(child, child_path, schema, out, matches)
 
 
 # -- bundled schema -----------------------------------------------------------------

@@ -102,6 +102,11 @@ def _decode(path: str, data: bytes) -> str:
         raise InvalidEncoding(path, exc.start) from None
 
 
+def read_text(path: str) -> str:
+    """A file's UTF-8 text; unreadable or badly encoded files raise MultiformError."""
+    return _decode(path, _read_bytes(path))
+
+
 # -- text ------------------------------------------------------------------------
 
 
@@ -117,7 +122,7 @@ def extract_text(path: str) -> m.TextPayload:
     kind = detect_kind(path)
     if kind not in (KIND_TEXT, KIND_TAGGED_TEXT):
         raise UnknownExtension(path, ["txt", "htm", "html", "xml", "sgml"])
-    content = _decode(path, _read_bytes(path))
+    content = read_text(path)
     if kind == KIND_TAGGED_TEXT:
         body = m.TaggedText(content=content, links=extract_links(content))
     else:
@@ -226,7 +231,7 @@ def ingest_relational_view(data_path: str,
     if suffix not in (".csv", ".tsv"):
         raise UnknownExtension(data_path, ["csv", "tsv"])
     delimiter = "\t" if suffix == ".tsv" else ","
-    text = _decode(data_path, _read_bytes(data_path))
+    text = read_text(data_path)
     rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
     if not rows or rows[0] in ([], [""]):
         raise EmptyHeader(data_path)

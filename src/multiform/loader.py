@@ -1,7 +1,8 @@
 """Shredding documents into rows, the backing store, loading, and export.
 
-shred turns a validated element tree into ordered inserts by walking the
-content model, its relational layout, and the match tree in lockstep.
+shred turns a validated element tree into ordered inserts by walking each
+element's relational layout and the match tree validation found for its
+children in lockstep.
 load applies a RowSet to a store atomically, offsetting ids so documents
 accumulate. export inverts the layout walk and hands the rebuilt tree to
 the canonical formatter, which is what makes round-trip checks byte-exact.
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import xml.etree.ElementTree as ET
 
-from .dtd import DtdSchema, match_children
+from .dtd import DtdSchema
 from .errors import IntegrityViolation, NotValidated, SchemaMismatch, UnknownId
 from .mapper import (
     Alt,
@@ -52,9 +53,9 @@ class RowSet:
 class _Shredder:
     """One document walk. Context is (current row, its per-child position counters)."""
 
-    def __init__(self, schema, rschema, rows):
-        self.schema = schema
+    def __init__(self, rschema, matches, rows):
         self.rschema = rschema
+        self.matches = matches
         self.rows = rows
         self.next_id = {}
 
@@ -78,10 +79,11 @@ class _Shredder:
         if isinstance(layout, TextCol):
             row[layout.column] = node.text or ""
             return
-        children = list(node)
-        tree = match_children(self.schema.elements[name],
-                              [c.tag for c in children])
-        self.walk(layout, tree, children, (row, {}))
+        tree = self.matches.get(node)
+        if tree is None:
+            raise NotValidated(f"the validation report holds no match for the "
+                               f"children of a {name} element")
+        self.walk(layout, tree, list(node), (row, {}))
 
     def walk(self, layout, mtree, children, ctx):
         row, _ = ctx
@@ -111,14 +113,14 @@ def shred(document: ET.Element, schema: DtdSchema, rschema: RelationalSchema,
     """Turn a validated element tree into inserts.
 
     The ValidationReport for this exact tree must be supplied; shredding
-    leans on the document being valid, so unvalidated input is refused.
+    follows the match trees it holds, so unvalidated input is refused.
     """
     if report is None or report.document is not document:
         raise NotValidated()
     if not report.valid:
         raise NotValidated("document failed validation; refusing to shred it")
     rows = RowSet()
-    _Shredder(schema, rschema, rows).element(document, rschema.root_table, None)
+    _Shredder(rschema, report.matches, rows).element(document, rschema.root_table, None)
     return rows
 
 
@@ -145,13 +147,22 @@ class OdsStore:
         self.rschema = rschema
         self.conn = sqlite3.connect(path, isolation_level=None)
         self.conn.execute("PRAGMA foreign_keys = ON")
-        existing = {
-            name for (name,) in self.conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table'")
-        }
+        existing = self._tables()
         if not existing:
-            self.conn.executescript(emit_ddl(rschema))
-            return
+            # one transaction: one sync for all tables, and a second process
+            # creating the same store waits for this one, then sees its tables
+            self.conn.execute("BEGIN IMMEDIATE")
+            try:
+                existing = self._tables()
+                if not existing:
+                    for statement in emit_ddl(rschema).splitlines():
+                        self.conn.execute(statement)
+            except BaseException:
+                self.conn.execute("ROLLBACK")
+                raise
+            self.conn.execute("COMMIT")
+            if not existing:
+                return
         expected = {t.name for t in rschema.tables}
         if existing != expected:
             raise SchemaMismatch(
@@ -164,6 +175,10 @@ class OdsStore:
                 raise SchemaMismatch(
                     f"table {table.name} has columns {have}, "
                     f"schema expects {table.column_names()}")
+
+    def _tables(self) -> set:
+        return {name for (name,) in self.conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
 
     def close(self):
         self.conn.close()
@@ -232,10 +247,12 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
                     f"parent id {row.get(table.fk)} got two")
             single_seen[key] = True
 
-    offsets = {t.name: store.max_id(t.name) for t in rschema.tables}
     counts = {t.name: 0 for t in rschema.tables}
-    store.conn.execute("BEGIN")
+    # offsets are read inside the write transaction, so a concurrent load
+    # into the same store cannot take the same ids
+    store.conn.execute("BEGIN IMMEDIATE")
     try:
+        offsets = {t.name: store.max_id(t.name) for t in rschema.tables}
         for table_name, row in rows.inserts:
             table = rschema.by_name[table_name]
             shifted = dict(row)

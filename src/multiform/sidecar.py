@@ -84,8 +84,8 @@ def parse_sidecar(text: str) -> SidecarRecord:
 
 
 def load_sidecar(path: str) -> SidecarRecord:
-    with open(path, encoding="utf-8") as fh:
-        return parse_sidecar(fh.read())
+    from .extract import read_text  # extract imports this module
+    return parse_sidecar(read_text(path))
 
 
 def override(record: SidecarRecord, **fields) -> SidecarRecord:

@@ -186,6 +186,33 @@ def test_validate_malformed_xml(workdir):
     assert main(["validate", "m.xml"]) == 2
 
 
+def one_line_error(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("multiform: error: "), lines
+    return lines[0]
+
+
+def test_validate_a_document_that_is_not_utf8(workdir, capsys):
+    put(workdir, "bad.xml", b"\xff<COMPLEX_OBJECT/>\n")
+    assert main(["validate", "bad.xml"]) == 2
+    assert "not valid UTF-8" in one_line_error(capsys)
+
+
+def test_validate_against_a_dtd_that_is_not_utf8(workdir, capsys):
+    put(workdir, "lib.xml", "<LIBRARY><NAME>City</NAME></LIBRARY>\n")
+    put(workdir, "bad.dtd", b"<!ELEMENT LIBRARY (NAME)>\xff\n")
+    assert main(["validate", "lib.xml", "--dtd", "bad.dtd"]) == 2
+    assert "not valid UTF-8" in one_line_error(capsys)
+
+
+def test_ingest_with_a_sidecar_that_is_not_utf8(workdir, capsys):
+    put(workdir, "story.txt", "once\n")
+    put(workdir, "bad.meta", b"keyword: \xff\n")
+    assert main(["ingest", "story.txt", "--sidecar", "bad.meta"]) == 2
+    assert "not valid UTF-8" in one_line_error(capsys)
+    assert not (workdir / "story.xml").exists()
+
+
 # -- load --------------------------------------------------------------------------
 
 
@@ -251,6 +278,21 @@ def test_export_unknown_id(workdir, capsys):
     ingest_sample(workdir)
     main(["load", "out.xml", "--db", "ods.db"])
     assert main(["export", "--db", "ods.db", "--id", "9"]) == 4
+
+
+def test_a_2000_row_view_goes_through_every_command(workdir, capsys):
+    # ingest writes one TUPLE per row; long views once overflowed the stack
+    rows = "".join(f"{i},\"a, b & <c> {i}\"\n" for i in range(2000))
+    put(workdir, "big.csv", "id,text\n" + rows)
+    assert main(["ingest", "big.csv", "--date", "2002-06-15",
+                 "--out", "big.xml"]) == 0
+    assert main(["validate", "big.xml"]) == 0
+    assert main(["load", "big.xml", "--db", "ods.db"]) == 0
+    assert "tuple: 2000" in capsys.readouterr().out.splitlines()
+    assert main(["export", "--db", "ods.db", "--id", "1",
+                 "--out", "back.xml"]) == 0
+    assert (workdir / "back.xml").read_bytes() == \
+        (workdir / "big.xml").read_bytes()
 
 
 def test_export_missing_store(workdir):

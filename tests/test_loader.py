@@ -1,11 +1,16 @@
+import os
 import random
 import re
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multiform
 from docgen import generate_document
-from multiform.dtd import PCData, parse_dtd, validate
+from multiform.dtd import PCData, ValidationReport, parse_dtd, validate
 from multiform.errors import (
     IntegrityViolation,
     NotValidated,
@@ -81,6 +86,13 @@ def test_shred_requires_the_report_for_the_same_tree(schema, rschema):
     document = parse_document(image_doc(schema)).root
     twin = parse_document(image_doc(schema)).root
     report = validate(twin, schema)
+    with pytest.raises(NotValidated):
+        shred(document, schema, rschema, report)
+
+
+def test_shred_requires_the_match_trees_of_the_report(schema, rschema):
+    document = parse_document(image_doc(schema)).root
+    report = ValidationReport(document=document, valid=True, violations=())
     with pytest.raises(NotValidated):
         shred(document, schema, rschema, report)
 
@@ -387,3 +399,66 @@ def test_round_trip_identity_on_a_second_schema(data_dir):
             load(shred(document, schema, rschema, report), store)
             assert export(store, i + 1, schema, rschema,
                           system_id="library.dtd") == text
+
+
+# Loads DOCS generated documents into the store at argv[1] once it reads a
+# line on stdin, so that two writers start together.
+WRITER = """
+import random, sys
+from docgen import generate_document
+from multiform.dtd import builtin_schema, validate
+from multiform.loader import OdsStore, load, shred
+from multiform.mapper import map_schema
+
+path, seed, docs = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+schema = builtin_schema()
+rschema = map_schema(schema)
+rng = random.Random(seed)
+shredded = []
+for _ in range(docs):
+    document = generate_document(schema, rng)
+    shredded.append(shred(document, schema, rschema, validate(document, schema)))
+print("ready", flush=True)
+sys.stdin.readline()
+with OdsStore(rschema, path) as store:
+    for rows in shredded:
+        load(rows, store)
+"""
+
+
+def test_two_processes_load_into_one_store(tmp_path, schema, rschema):
+    docs = 40
+    path = str(tmp_path / "shared.db")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(multiform.__file__).resolve().parent.parent), str(here),
+        env.get("PYTHONPATH")]))
+    writers = [subprocess.Popen([sys.executable, "-c", WRITER, path, str(seed), str(docs)],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env)
+               for seed in (1, 2)]
+    try:
+        for writer in writers:
+            assert writer.stdout.readline() == "ready\n"
+        for writer in writers:
+            writer.stdin.write("go\n")
+            writer.stdin.flush()
+        results = [writer.communicate(timeout=120) for writer in writers]
+    finally:
+        for writer in writers:
+            writer.kill()
+            writer.wait()
+    for writer, (_, err) in zip(writers, results):
+        assert writer.returncode == 0, err
+
+    expected = []
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        expected.extend(format_document(generate_document(schema, rng))
+                        for _ in range(docs))
+    with OdsStore(rschema, path) as store:
+        ids = [i for (i,) in store.conn.execute("SELECT id FROM complex_object")]
+        assert len(ids) == 2 * docs
+        exported = [export(store, i, schema, rschema) for i in ids]
+    assert sorted(exported) == sorted(expected)
