@@ -3,14 +3,15 @@
 Five subcommands cover the whole flow: ingest files into an XML document,
 print the relational schema for a DTD, validate a document, load it into
 a store, and export it back out. Exit codes sort outcomes into classes:
-0 success, 1 usage, 2 input or parse error, 3 validation failure, 4 not
-found.
+0 success, 1 usage, 2 input, parse or store error, 3 validation failure,
+4 not found.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import sqlite3
 import sys
 from pathlib import PurePath
 
@@ -196,7 +197,7 @@ def main(argv=None) -> int:
     except MultiformError as exc:
         print(f"multiform: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, sqlite3.Error) as exc:
         print(f"multiform: error: {exc}", file=sys.stderr)
         return 2
 

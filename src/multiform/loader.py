@@ -4,14 +4,19 @@ shred turns a validated element tree into ordered inserts by walking each
 element's relational layout and the match tree validation found for its
 children in lockstep.
 load applies a RowSet to a store atomically, offsetting ids so documents
-accumulate. export inverts the layout walk and hands the rebuilt tree to
-the canonical formatter, which is what makes round-trip checks byte-exact.
+accumulate; it inserts one batch per table, parents before children.
+export inverts the layout walk and hands the rebuilt tree to the canonical
+formatter, which is what makes round-trip checks byte-exact. It reads each
+table the walk reaches with one query per document, then serves every
+parent row its children, in `pos` order, from those rows.
 """
 
 from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import xml.etree.ElementTree as ET
 
@@ -224,17 +229,21 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
 
     Ids in the RowSet start at 1; here they are offset by each table's
     current maximum so repeated loads accumulate instead of clashing.
+    Rows go in one batch per table, tables in schema order (parents first).
     """
     rschema = store.rschema
+    columns = {t.name: set(t.column_names()) for t in rschema.tables}
+    batches = {}
     for table_name, row in rows.inserts:
-        table = rschema.by_name.get(table_name)
-        if table is None:
+        known = columns.get(table_name)
+        if known is None:
             raise SchemaMismatch(f"RowSet names unknown table {table_name!r}")
-        unknown = set(row) - set(table.column_names())
+        unknown = row.keys() - known
         if unknown:
             raise SchemaMismatch(
                 f"RowSet names unknown column {table_name}."
                 f"{sorted(unknown)[0]}")
+        batches.setdefault(table_name, []).append(row)
 
     single_seen = {}
     for table_name, row in rows.inserts:
@@ -253,18 +262,25 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
     store.conn.execute("BEGIN IMMEDIATE")
     try:
         offsets = {t.name: store.max_id(t.name) for t in rschema.tables}
-        for table_name, row in rows.inserts:
-            table = rschema.by_name[table_name]
-            shifted = dict(row)
-            shifted["id"] = row["id"] + offsets[table_name]
-            if table.fk and table.fk in row:
-                shifted[table.fk] = row[table.fk] + offsets[table.parent]
-            names = list(shifted)
-            store.conn.execute(
-                f"INSERT INTO {table_name} ({', '.join(names)}) "
-                f"VALUES ({', '.join('?' for _ in names)})",
-                [shifted[n] for n in names])
-            counts[table_name] += 1
+        for table in rschema.tables:
+            batch = batches.get(table.name)
+            if not batch:
+                continue
+            # absent columns go in as NULL, as they would if left unnamed
+            names = table.column_names()
+            id_at = names.index("id")
+            fk_at = names.index(table.fk) if table.fk else None
+            params = []
+            for row in batch:
+                values = [row.get(n) for n in names]
+                values[id_at] = row["id"] + offsets[table.name]
+                if table.fk in row:
+                    values[fk_at] = row[table.fk] + offsets[table.parent]
+                params.append(values)
+            store.conn.executemany(
+                f"INSERT INTO {table.name} ({', '.join(names)}) "
+                f"VALUES ({', '.join('?' for _ in names)})", params)
+            counts[table.name] = len(batch)
     except sqlite3.IntegrityError as exc:
         store.conn.execute("ROLLBACK")
         raise IntegrityViolation(str(exc)) from None
@@ -279,17 +295,39 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
 
 
 class _Exporter:
-    def __init__(self, store):
+    """One document's rebuild. Each table is read once, when the layout walk
+    first reaches it, and its rows are kept grouped by parent id."""
+
+    def __init__(self, store, object_id):
         self.store = store
         self.rschema = store.rschema
+        self.children = {}   # table -> {parent id: [rows in pos order]}
+        self.ids = {self.rschema.root_table: {object_id}}   # table -> row ids
 
     def select(self, table_name, fk_value):
+        by_parent = self.children.get(table_name)
+        if by_parent is None:
+            by_parent = self.children[table_name] = self.fetch(table_name)
+        return by_parent.get(fk_value, ())
+
+    def fetch(self, table_name) -> dict:
+        """This document's rows of a table, grouped by parent id."""
         table = self.rschema.table(table_name)
+        parents = self.ids.get(table.parent)
+        if parents is None:
+            parents = self.ids[table.parent] = {
+                row["id"] for rows in self.children[table.parent].values()
+                for row in rows}
         names = table.column_names()
+        # the id range only prunes: other documents' rows may fall inside
+        # it, so only groups under a parent row of this document are kept
         cur = self.store.conn.execute(
             f"SELECT {', '.join(names)} FROM {table_name} "
-            f"WHERE {table.fk} = ? ORDER BY pos", (fk_value,))
-        return [dict(zip(names, row)) for row in cur]
+            f"WHERE {table.fk} BETWEEN ? AND ? ORDER BY {table.fk}, pos",
+            (min(parents), max(parents)))
+        fk_of = itemgetter(names.index(table.fk))
+        return {parent: [dict(zip(names, values)) for values in group]
+                for parent, group in groupby(cur, fk_of) if parent in parents}
 
     def element(self, table_name, row) -> ET.Element:
         table = self.rschema.table(table_name)
@@ -353,5 +391,5 @@ def export(store: OdsStore, object_id: int, schema: DtdSchema,
     if found is None:
         raise UnknownId(rschema.root_table, object_id)
     row = dict(zip(names, found))
-    tree = _Exporter(store).element(rschema.root_table, row)
+    tree = _Exporter(store, object_id).element(rschema.root_table, row)
     return format_document(tree, system_id)

@@ -90,7 +90,7 @@ class Alt:
 
 @dataclass(frozen=True)
 class Rep:
-    mult: str
+    """Repetition or option: cardinality lives in the rows, not the layout."""
     inner: object
 
 
@@ -190,13 +190,11 @@ class _Builder:
             return Alt(column, tokens, alts)
         if isinstance(model, Repeat):
             if model.mult == "?":
-                return Rep("?", self.compile(model.inner, table))
+                return Rep(self.compile(model.inner, table))
             if isinstance(model.inner, ElementRef):
-                return Rep(model.mult,
-                           self.place(model.inner.name, table, single=False))
+                return Rep(self.place(model.inner.name, table, single=False))
             group = self.group_table(table)
-            return Rep(model.mult, GroupTable(group.name,
-                                              self.compile(model.inner, group)))
+            return Rep(GroupTable(group.name, self.compile(model.inner, group)))
         # Sequence; PCData cannot appear inside element content
         return Seq(tuple(self.compile(p, table) for p in model.parts))
 

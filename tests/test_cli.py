@@ -306,6 +306,21 @@ def test_export_from_a_store_with_another_shape(workdir, data_dir, capsys):
     assert main(["export", "--db", "lib.db", "--id", "1"]) == 2  # bundled schema
 
 
+def test_export_from_a_file_that_is_not_a_database(workdir, capsys):
+    put(workdir, "junk.db", "this is not a database\n" * 100)
+    assert main(["export", "--db", "junk.db", "--id", "1"]) == 2
+    assert "file is not a database" in one_line_error(capsys)
+
+
+def test_load_into_a_file_that_is_not_a_database(workdir, capsys):
+    ingest_sample(workdir)
+    put(workdir, "junk.db", "this is not a database\n" * 100)
+    capsys.readouterr()
+    assert main(["load", "out.xml", "--db", "junk.db"]) == 2
+    assert "file is not a database" in one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+
+
 def test_console_entry_point(workdir):
     put(workdir, "s.txt", "hello\n")
     # The fixture has chdir'd into a temp directory, so a relative PYTHONPATH

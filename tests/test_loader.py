@@ -261,6 +261,18 @@ def test_dangling_reference_rolls_the_whole_load_back(schema, rschema):
     assert count == 1  # the earlier document alone
 
 
+def test_a_failing_late_batch_leaves_the_store_as_it_was(schema, rschema):
+    # tuple_g1 goes in after the view's earlier tables have been inserted
+    rows = shredded(view_doc(schema), schema, rschema)
+    rows_for(rows, "tuple_g1")[-1]["tuple_id"] = 99
+    with OdsStore(rschema) as store:
+        load(shredded(image_doc(schema), schema, rschema), store)
+        before = store.to_script()
+        with pytest.raises(IntegrityViolation):
+            load(rows, store)
+        assert store.to_script() == before
+
+
 def test_two_rows_of_a_singular_child_are_rejected(schema, rschema):
     rows = shredded(image_doc(schema), schema, rschema)
     extra = rows.add("image")
@@ -336,6 +348,88 @@ def test_export_honours_the_system_id(schema, rschema):
         load(shredded(image_doc(schema), schema, rschema), store)
         text = export(store, 1, schema, rschema, system_id="x.dtd")
     assert '<!DOCTYPE COMPLEX_OBJECT SYSTEM "x.dtd">' in text
+
+
+def many_tuples_doc(schema, n):
+    view = RelationalView(
+        attributes=(Attribute("k"), Attribute("v")),
+        tuples=tuple(ViewTuple((Cell("k", str(i)), Cell("v", "x")))
+                     for i in range(n)))
+    obj = make_complex_object("Wide", "2002-06-15", "Local", [
+        Subdocument(doc_name="wide", size=n, location="wide.csv",
+                    payload=view, keywords=("a", "b"))])
+    return serialize(obj, schema)
+
+
+def test_export_statements_do_not_grow_with_the_view(schema, rschema):
+    counts = []
+    for n in (1, 300):
+        text = many_tuples_doc(schema, n)
+        with OdsStore(rschema) as store:
+            load(shredded(text, schema, rschema), store)
+            statements = []
+            store.conn.set_trace_callback(statements.append)
+            assert export(store, 1, schema, rschema) == text
+            store.conn.set_trace_callback(None)
+        counts.append(len(statements))
+    assert counts[0] == counts[1] <= len(rschema.tables)
+
+
+# Two image objects whose rows interleave: object 1 owns subdocuments 3
+# and 1 (in that order), object 2 owns subdocument 2, which lies inside
+# the id range of object 1's subdocuments; keyword and image rows of both
+# objects alternate by id.
+INTERLEAVED = """
+INSERT INTO complex_object VALUES (1, 'A', '2002-06-15', 'Local');
+INSERT INTO complex_object VALUES (2, 'B', '2002-06-16', 'Web');
+INSERT INTO subdocument VALUES (1, 1, 2, 'a2', 'Image', '2', 'a2.gif', NULL, 'IMAGE');
+INSERT INTO subdocument VALUES (2, 2, 1, 'b1', 'Image', '3', 'b1.gif', NULL, 'IMAGE');
+INSERT INTO subdocument VALUES (3, 1, 1, 'a1', 'Image', '1', 'a1.gif', NULL, 'IMAGE');
+INSERT INTO keyword VALUES (1, 2, 1, 'b-k1');
+INSERT INTO keyword VALUES (2, 3, 2, 'a1-k2');
+INSERT INTO keyword VALUES (3, 1, 1, 'a2-k1');
+INSERT INTO keyword VALUES (4, 2, 2, 'b-k2');
+INSERT INTO keyword VALUES (5, 3, 1, 'a1-k1');
+INSERT INTO image VALUES (1, 2, 1, '', 'Gif', '', '30', '31');
+INSERT INTO image VALUES (2, 1, 1, '', 'Gif', '', '20', '21');
+INSERT INTO image VALUES (3, 3, 1, '', 'Gif', '', '10', '11');
+"""
+
+
+def image_object(schema, name, date, source, subdocs):
+    return serialize(make_complex_object(name, date, source, [
+        Subdocument(doc_name=doc, size=size, location=f"{doc}.gif",
+                    payload=ImageMeta(length=length, width=length + 1,
+                                      format="Gif"),
+                    keywords=keywords)
+        for doc, size, length, keywords in subdocs]), schema)
+
+
+def test_export_from_a_store_whose_documents_interleave(schema, rschema):
+    a = image_object(schema, "A", "2002-06-15", "Local", [
+        ("a1", 1, 10, ("a1-k1", "a1-k2")), ("a2", 2, 20, ("a2-k1",))])
+    b = image_object(schema, "B", "2002-06-16", "Web", [
+        ("b1", 3, 30, ("b-k1", "b-k2"))])
+    with OdsStore(rschema) as store:
+        store.conn.executescript(INTERLEAVED)
+        assert export(store, 1, schema, rschema) == a
+        assert export(store, 2, schema, rschema) == b
+
+
+def test_every_document_of_a_crowded_store_exports(schema, rschema):
+    rng = random.Random(5)
+    texts = []
+    with OdsStore(rschema) as store:
+        for _ in range(40):
+            document = generate_document(schema, rng)
+            texts.append(format_document(document))
+            load(shred(document, schema, rschema, validate(document, schema)),
+                 store)
+        order = list(range(1, len(texts) + 1))
+        rng.shuffle(order)
+        for object_id in order:
+            assert export(store, object_id, schema, rschema) == \
+                texts[object_id - 1]
 
 
 # -- whole-corpus properties ---------------------------------------------------------

@@ -205,3 +205,18 @@ def test_ddl_runs_under_sqlite(rschema):
         names = {r[0] for r in conn.execute(
             "SELECT name FROM sqlite_master WHERE type = 'table'")}
     assert names == {t.name for t in rschema.tables}
+
+
+@pytest.mark.parametrize("dtd_file", [None, "library.dtd"])
+def test_every_table_follows_its_parent(data_dir, dtd_file):
+    # load inserts one batch per table in this order, so a child batch
+    # never names a parent row that is still to come
+    if dtd_file is None:
+        rschema = map_schema(builtin_schema())
+    else:
+        rschema = mapped((data_dir / dtd_file).read_text())
+    seen = set()
+    for table in rschema.tables:
+        assert table.parent is None or table.parent in seen, table.name
+        seen.add(table.name)
+    assert rschema.tables[0].name == rschema.root_table
