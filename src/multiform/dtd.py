@@ -620,12 +620,21 @@ def validate(document, schema: DtdSchema) -> ValidationReport:
         violations.append(Violation(path, f"root element must be {schema.root}",
                                     expected=schema.root))
     if document.tag in schema.elements:
-        _validate_element(document, path, schema, violations, matches)
+        _validate_element(document, path, schema, violations, matches, {})
     return ValidationReport(document=document, valid=not violations,
                             violations=tuple(violations), matches=matches)
 
 
-def _validate_element(element, path, schema, out, matches):
+# A match tree depends only on the element's tag and its children's names,
+# and it is frozen and indexes children by position, so every element of one
+# shape shares the tree of the first one matched. Only successful matches are
+# kept in `shapes`: a shape that fails is matched again at each element, which
+# gives each failure its own violation exactly as a first match would. A text
+# leaf (a declared #PCDATA element with no child elements) has nothing to
+# check, so it gets neither a path nor a call.
+
+
+def _validate_element(element, path, schema, out, matches, shapes):
     model = schema.elements[element.tag]
     children = list(element)
 
@@ -644,27 +653,38 @@ def _validate_element(element, path, schema, out, matches):
                                  expected=render_model(model)))
             break
 
-    fail = _Failure()
     names = [c.tag for c in children]
-    tree = schema._automata[element.tag].match(names, fail)
+    shape = (element.tag, tuple(names))
+    tree = shapes.get(shape)
     if tree is None:
-        at = fail.pos if fail.pos >= 0 else len(names)
-        found = names[at] if at < len(names) else "end of children"
-        expected = ", ".join(sorted(fail.expected)) or render_model(model)
-        out.append(Violation(
-            path,
-            f"children do not match the content model: at child {at + 1} "
-            f"expected one of {{{expected}}}, found {found}",
-            expected=render_model(model),
-        ))
-    else:
+        fail = _Failure()
+        tree = schema._automata[element.tag].match(names, fail)
+        if tree is None:
+            at = fail.pos if fail.pos >= 0 else len(names)
+            found = names[at] if at < len(names) else "end of children"
+            expected = ", ".join(sorted(fail.expected)) or render_model(model)
+            out.append(Violation(
+                path,
+                f"children do not match the content model: at child {at + 1} "
+                f"expected one of {{{expected}}}, found {found}",
+                expected=render_model(model),
+            ))
+        else:
+            shapes[shape] = tree
+    if tree is not None:
         matches[element] = tree
 
-    for child, child_path in zip(children, _child_paths(path, names)):
+    automata = schema._automata
+    child_paths = None
+    for k, child in enumerate(children):
+        if child.tag not in automata and child.tag in schema.elements and not len(child):
+            continue  # a text leaf
+        if child_paths is None:
+            child_paths = _child_paths(path, names)
         if child.tag not in schema.elements:
-            out.append(Violation(child_path, f"element {child.tag} is not declared"))
+            out.append(Violation(child_paths[k], f"element {child.tag} is not declared"))
             continue
-        _validate_element(child, child_path, schema, out, matches)
+        _validate_element(child, child_paths[k], schema, out, matches, shapes)
 
 
 # -- bundled schema -----------------------------------------------------------------

@@ -258,10 +258,12 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
 
     counts = {t.name: 0 for t in rschema.tables}
     # offsets are read inside the write transaction, so a concurrent load
-    # into the same store cannot take the same ids
+    # into the same store cannot take the same ids; one statement reads all
+    maxima = ", ".join(f"(SELECT COALESCE(MAX(id), 0) FROM {t.name})"
+                       for t in rschema.tables)
     store.conn.execute("BEGIN IMMEDIATE")
     try:
-        offsets = {t.name: store.max_id(t.name) for t in rschema.tables}
+        offsets = dict(zip(counts, store.conn.execute(f"SELECT {maxima}").fetchone()))
         for table in rschema.tables:
             batch = batches.get(table.name)
             if not batch:

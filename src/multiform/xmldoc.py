@@ -2,9 +2,9 @@
 
 The canonical form is fixed so that equal trees give byte-identical text:
 a standard prolog, a DOCTYPE naming the root, two-space indentation, one
-element per line with leaf content inline, LF line endings, and ``& < >``
-escaped. Documents carry no attributes, namespaces, processing
-instructions or comments.
+element per line with leaf content inline, LF line endings, ``& < >``
+escaped, and CR written as ``&#13;``. Documents carry no attributes,
+namespaces, processing instructions or comments.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ DEFAULT_SYSTEM_ID = "mlfd.dtd"
 
 
 def xml_escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    # a literal CR would be folded into LF by the parser (XML 1.0 section
+    # 2.11); a character reference survives that
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace("\r", "&#13;"))
 
 
 # -- canonical formatting ------------------------------------------------------

@@ -3,8 +3,7 @@
 The generator works against any parsed DTD: uniform choice over
 alternatives, repetition counts 0..3 (1..3 for +), leaf texts drawn from
 a fixed alphabet that includes the empty text and characters the
-serializer must escape. Carriage returns stay out because XML parsers
-normalize them, which would break byte-level comparisons by design.
+serializer must escape, carriage returns among them.
 """
 
 import copy
@@ -34,6 +33,7 @@ ALPHABET = (
     "42",
     "  padded  ",
     "tab\tseparated",
+    "cr\rand crlf\r\n",
 )
 
 

@@ -295,6 +295,23 @@ def test_a_2000_row_view_goes_through_every_command(workdir, capsys):
         (workdir / "big.xml").read_bytes()
 
 
+@pytest.mark.parametrize("name, content", [
+    ("crlf.txt", b"line1\r\nline2\r\n"),
+    ("cr.txt", b"a\rb"),
+    ("cell.csv", b'k,v\n1,"a\rb"\n'),
+], ids=["crlf-text", "cr-text", "cr-in-csv-cell"])
+def test_carriage_returns_survive_every_command(workdir, name, content):
+    put(workdir, name, content)
+    assert main(["ingest", name, "--date", "2002-06-15", "--out", "cr.xml"]) == 0
+    assert b"&#13;" in (workdir / "cr.xml").read_bytes()
+    assert main(["validate", "cr.xml"]) == 0
+    assert main(["load", "cr.xml", "--db", "ods.db"]) == 0
+    assert main(["export", "--db", "ods.db", "--id", "1",
+                 "--out", "back.xml"]) == 0
+    assert (workdir / "back.xml").read_bytes() == \
+        (workdir / "cr.xml").read_bytes()
+
+
 def test_export_missing_store(workdir):
     assert main(["export", "--db", "none.db", "--id", "1"]) == 1
 

@@ -8,6 +8,7 @@ from multiform.dtd import (
     PCData,
     Repeat,
     Sequence,
+    _Automaton,
     builtin_dtd_text,
     builtin_schema,
     format_dtd,
@@ -265,3 +266,64 @@ def test_sibling_paths_carry_indexes(schema):
     report = validate(tree, schema)
     assert any(v.path.startswith("/COMPLEX_OBJECT/SUBDOCUMENT[2]/IMAGE")
                for v in report.violations)
+
+
+def view_document(n):
+    """A valid object holding one two-column view of n tuples."""
+    tuples = "".join(
+        f"<TUPLE><ATT_NAME_REF>k</ATT_NAME_REF><VALUE>{i}</VALUE>"
+        f"<ATT_NAME_REF>v</ATT_NAME_REF><VALUE>x</VALUE></TUPLE>"
+        for i in range(n))
+    return doc("<COMPLEX_OBJECT><OBJ_NAME>n</OBJ_NAME><DATE>d</DATE>"
+               "<SOURCE>s</SOURCE><SUBDOCUMENT><DOC_NAME>v</DOC_NAME>"
+               "<TYPE>Relational view</TYPE><SIZE>1</SIZE>"
+               "<LOCATION>v.csv</LOCATION><RELATIONAL_VIEW>"
+               "<ATTRIBUTE><ATT_NAME>k</ATT_NAME><DOMAIN>string</DOMAIN></ATTRIBUTE>"
+               "<ATTRIBUTE><ATT_NAME>v</ATT_NAME><DOMAIN>string</DOMAIN></ATTRIBUTE>"
+               + tuples + "</RELATIONAL_VIEW></SUBDOCUMENT></COMPLEX_OBJECT>")
+
+
+def test_each_child_shape_is_matched_once_per_document(schema, monkeypatch):
+    calls = []
+    match = _Automaton.match
+
+    def counting(self, names, fail=None):
+        calls.append(names)
+        return match(self, names, fail)
+
+    monkeypatch.setattr(_Automaton, "match", counting)
+    counts = []
+    for n in (3, 300):
+        before = len(calls)
+        assert validate(view_document(n), schema).valid
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1]
+
+
+def test_violations_among_repeated_shapes_keep_their_paths(schema):
+    document = view_document(300)
+    view = document.find("SUBDOCUMENT/RELATIONAL_VIEW")
+    tuples = view.findall("TUPLE")
+    tuples[6].append(ET.Element("BONUS"))                # TUPLE[7]
+    tuples[8][1].append(ET.Element("X"))                 # TUPLE[9]/VALUE[1]
+    for k in (11, 13):                                   # TUPLE[12], TUPLE[14]
+        first = tuples[k][0]
+        tuples[k].remove(first)
+        tuples[k].insert(1, first)
+    report = validate(document, schema)
+    view_path = "/COMPLEX_OBJECT/SUBDOCUMENT/RELATIONAL_VIEW"
+    model = "(ATT_NAME_REF, VALUE)+"
+    assert [str(v) for v in report.violations] == [
+        f"{view_path}/TUPLE[7]: children do not match the content model: at "
+        f"child 5 expected one of {{ATT_NAME_REF, end of children}}, found "
+        f"BONUS (expected {model})",
+        f"{view_path}/TUPLE[7]/BONUS: element BONUS is not declared",
+        f"{view_path}/TUPLE[9]/VALUE[1]: leaf element must not contain child "
+        f"elements (expected (#PCDATA))",
+        f"{view_path}/TUPLE[12]: children do not match the content model: at "
+        f"child 1 expected one of {{ATT_NAME_REF}}, found VALUE (expected {model})",
+        f"{view_path}/TUPLE[14]: children do not match the content model: at "
+        f"child 1 expected one of {{ATT_NAME_REF}}, found VALUE (expected {model})",
+    ]
+    assert tuples[6] not in report.matches and tuples[11] not in report.matches
+    assert report.matches[tuples[8]] is report.matches[tuples[0]]

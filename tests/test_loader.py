@@ -375,6 +375,19 @@ def test_export_statements_do_not_grow_with_the_view(schema, rschema):
     assert counts[0] == counts[1] <= len(rschema.tables)
 
 
+def test_load_reads_every_offset_in_one_statement(schema, rschema):
+    text = many_tuples_doc(schema, 3)
+    with OdsStore(rschema) as store:
+        for _ in range(2):
+            statements = []
+            store.conn.set_trace_callback(statements.append)
+            load(shredded(text, schema, rschema), store)
+            store.conn.set_trace_callback(None)
+            assert len([s for s in statements if s.startswith("SELECT")]) == 1
+        assert store.max_id("complex_object") == 2
+        assert export(store, 2, schema, rschema) == text
+
+
 # Two image objects whose rows interleave: object 1 owns subdocuments 3
 # and 1 (in that order), object 2 owns subdocument 2, which lies inside
 # the id range of object 1's subdocuments; keyword and image rows of both

@@ -4,20 +4,22 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from docgen import generate_document
-from multiform.dtd import builtin_schema, validate
+from docgen import generate_document, mutate
+from multiform.dtd import builtin_schema, match_children, validate
 from multiform.extract import count_lines, extract_links
 from multiform.loader import OdsStore, export, load, shred
 from multiform.model import ImageMeta, Subdocument, make_complex_object
 from multiform.sidecar import parse_sidecar
 from multiform.xmldoc import format_document, parse_document, serialize, to_object
 
-# characters that are legal in XML 1.0 text and survive a parse unchanged
-# (\r is legal but parsers fold it into \n, so it cannot round-trip)
+# every character XML 1.0 allows in text (the Char production, section 2.2);
+# the serializer writes \r as a character reference so that it survives the
+# parser's end-of-line folding
 xml_text = st.text(st.one_of(
-    st.characters(min_codepoint=0x20, max_codepoint=0xD7FF,
-                  blacklist_categories=("Cc",)),
-    st.sampled_from("\n\t")))
+    st.sampled_from("\t\n\r"),
+    st.characters(min_codepoint=0x20, max_codepoint=0xD7FF),
+    st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF)))
 
 plain_line = st.text(
     st.characters(min_codepoint=0x20, max_codepoint=0x7E,
@@ -72,3 +74,18 @@ def test_any_generated_document_round_trips(schema, rschema, seed):
     with OdsStore(rschema) as store:
         load(shred(document, schema, rschema, report), store)
         assert export(store, 1, schema, rschema) == format_document(document)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_every_reported_match_is_the_match_of_its_element(schema, seed):
+    rng = random.Random(seed)
+    document = generate_document(schema, rng)
+    for tree in (document, mutate(document, schema, rng)[1]):
+        report = validate(tree, schema)
+        if report.valid:
+            assert set(report.matches) == {
+                e for e in tree.iter() if not schema.is_leaf(e.tag)}
+        for element, mtree in report.matches.items():
+            assert mtree == match_children(schema.elements[element.tag],
+                                           [c.tag for c in element])
