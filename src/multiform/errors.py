@@ -96,6 +96,13 @@ class EmptyHeader(ExtractionError):
         super().__init__(f"{path!r} has no header row")
 
 
+class MalformedTable(ExtractionError):
+    def __init__(self, path, line, detail):
+        self.path = path
+        self.line = line
+        super().__init__(f"{path!r} line {line}: {detail}")
+
+
 class RaggedRow(ExtractionError):
     def __init__(self, path, row, expected, got):
         self.path = path
@@ -167,7 +174,18 @@ class UnsupportedConstruct(MultiformError):
 
 
 class ModelViolation(MultiformError):
-    """An object cannot be arranged to satisfy the schema's content model."""
+    """An object does not have the shape the schema's content model needs."""
+
+
+class UnrepresentableCharacter(MultiformError):
+    """Text holds a character outside XML 1.0's Char production."""
+
+    def __init__(self, element, char):
+        self.element = element
+        self.code_point = ord(char)
+        super().__init__(
+            f"{element} holds U+{self.code_point:04X}, "
+            "which XML 1.0 cannot represent")
 
 
 # -- relational mapping ------------------------------------------------------

@@ -20,6 +20,7 @@ from .errors import (
     EmptyHeader,
     FileNotReadable,
     InvalidEncoding,
+    MalformedTable,
     MissingSidecarField,
     RaggedRow,
     UnknownExtension,
@@ -232,7 +233,11 @@ def ingest_relational_view(data_path: str,
         raise UnknownExtension(data_path, ["csv", "tsv"])
     delimiter = "\t" if suffix == ".tsv" else ","
     text = read_text(data_path)
-    rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise MalformedTable(data_path, reader.line_num, str(exc)) from None
     if not rows or rows[0] in ([], [""]):
         raise EmptyHeader(data_path)
     header = rows[0]

@@ -1,5 +1,9 @@
 """XML documents for complex objects: emit, parse, rebuild.
 
+Emitting walks the object once and appends each element's children in the
+order mlfd.dtd declares them; the object model mirrors that DTD, so no
+content model is consulted.
+
 The canonical form is fixed so that equal trees give byte-identical text:
 a standard prolog, a DOCTYPE naming the root, two-space indentation, one
 element per line with leaf content inline, LF line endings, ``& < >``
@@ -9,13 +13,18 @@ namespaces, processing instructions or comments.
 
 from __future__ import annotations
 
-from collections import deque
+import re
 from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
 from . import model as m
-from .dtd import DtdSchema, PCData, ElementRef, Sequence, Choice, Repeat, nullable
-from .errors import ModelViolation, NotWellFormed, UnsupportedConstruct
+from .dtd import DtdSchema
+from .errors import (
+    ModelViolation,
+    NotWellFormed,
+    UnrepresentableCharacter,
+    UnsupportedConstruct,
+)
 
 DEFAULT_SYSTEM_ID = "mlfd.dtd"
 
@@ -55,168 +64,100 @@ def format_document(root: ET.Element, system_id: str = DEFAULT_SYSTEM_ID) -> str
     return "\n".join(lines) + "\n"
 
 
-# -- object -> value nodes -------------------------------------------------------
+# -- object -> element tree ------------------------------------------------------
 #
-# A value node is (name, text) for leaves and (name, [nodes]) for elements
-# with children; the arranger below orders children by the content model.
+# The object model mirrors mlfd.dtd field for field, so children are appended
+# in the order the DTD declares them. An unset image scalar is written as an
+# empty element; an unset LANGUAGE or QUERY, both optional, is left out.
 
 
-def _payload_node(payload):
+def _payload_into(sub: ET.Element, payload) -> None:
     if isinstance(payload, m.TextPayload):
+        text = ET.SubElement(sub, "TEXT")
+        ET.SubElement(text, "NB_CHAR").text = str(payload.nb_char)
+        ET.SubElement(text, "NB_LINES").text = str(payload.nb_lines)
         body = payload.body
         if isinstance(body, m.PlainText):
-            inner = [("PLAIN_TEXT", body.content)]
+            ET.SubElement(text, "PLAIN_TEXT").text = body.content
         else:
-            inner = [("TAGGED_TEXT",
-                      [("CONTENT", body.content)] + [("LINK", l) for l in body.links])]
-        return ("TEXT", [("NB_CHAR", str(payload.nb_char)),
-                         ("NB_LINES", str(payload.nb_lines))] + inner)
-    if isinstance(payload, m.RelationalView):
-        kids = []
+            tagged = ET.SubElement(text, "TAGGED_TEXT")
+            ET.SubElement(tagged, "CONTENT").text = body.content
+            for link in body.links:
+                ET.SubElement(tagged, "LINK").text = link
+    elif isinstance(payload, m.RelationalView):
+        view = ET.SubElement(sub, "RELATIONAL_VIEW")
         if payload.query is not None:
-            kids.append(("QUERY", payload.query))
+            ET.SubElement(view, "QUERY").text = payload.query
         for a in payload.attributes:
-            kids.append(("ATTRIBUTE", [("ATT_NAME", a.att_name), ("DOMAIN", a.domain)]))
+            attribute = ET.SubElement(view, "ATTRIBUTE")
+            ET.SubElement(attribute, "ATT_NAME").text = a.att_name
+            ET.SubElement(attribute, "DOMAIN").text = a.domain
         for t in payload.tuples:
-            cells = []
+            row = ET.SubElement(view, "TUPLE")
             for c in t.cells:
-                cells.append(("ATT_NAME_REF", c.att_name_ref))
-                cells.append(("VALUE", c.value))
-            kids.append(("TUPLE", cells))
-        return ("RELATIONAL_VIEW", kids)
-    if isinstance(payload, m.ImageMeta):
-        kids = []
-        if payload.compression is not None:
-            kids.append(("COMPRESSION", payload.compression))
-        if payload.format is not None:
-            kids.append(("FORMAT", payload.format))
-        if payload.resolution is not None:
-            kids.append(("RESOLUTION", payload.resolution))
-        kids.append(("LENGTH", str(payload.length)))
-        kids.append(("WIDTH", str(payload.width)))
-        return ("IMAGE", kids)
-    if isinstance(payload, m.ContinuousMeta):
-        media = payload.media
-        tag = "SOUND" if isinstance(media, m.Sound) else "VIDEO"
-        return ("CONTINUOUS", [("DURATION", payload.duration),
-                               ("SPEED", payload.speed),
-                               (tag, media.ref)])
-    raise ModelViolation(f"unknown payload variant {type(payload).__name__}")
+                ET.SubElement(row, "ATT_NAME_REF").text = c.att_name_ref
+                ET.SubElement(row, "VALUE").text = c.value
+    elif isinstance(payload, m.ImageMeta):
+        image = ET.SubElement(sub, "IMAGE")
+        ET.SubElement(image, "COMPRESSION").text = payload.compression
+        ET.SubElement(image, "FORMAT").text = payload.format
+        ET.SubElement(image, "RESOLUTION").text = payload.resolution
+        ET.SubElement(image, "LENGTH").text = str(payload.length)
+        ET.SubElement(image, "WIDTH").text = str(payload.width)
+    elif isinstance(payload, m.ContinuousMeta):
+        continuous = ET.SubElement(sub, "CONTINUOUS")
+        ET.SubElement(continuous, "DURATION").text = payload.duration
+        ET.SubElement(continuous, "SPEED").text = payload.speed
+        tag = "SOUND" if isinstance(payload.media, m.Sound) else "VIDEO"
+        ET.SubElement(continuous, tag).text = payload.media.ref
+    else:
+        raise ModelViolation(f"unknown payload variant {type(payload).__name__}")
 
 
-def _object_node(obj: m.ComplexObject):
-    kids = [("OBJ_NAME", obj.obj_name),
-            ("DATE", obj.date.isoformat()),
-            ("SOURCE", obj.source)]
-    for sub in obj.subdocuments:
-        sk = [("DOC_NAME", sub.doc_name),
-              ("TYPE", sub.type),
-              ("SIZE", str(sub.size)),
-              ("LOCATION", sub.location)]
-        if sub.language is not None:
-            sk.append(("LANGUAGE", sub.language))
-        for kw in sub.keywords:
-            sk.append(("KEYWORD", kw))
-        sk.append(_payload_node(sub.payload))
-        kids.append(("SUBDOCUMENT", sk))
-    return ("COMPLEX_OBJECT", kids)
+def _object_tree(obj: m.ComplexObject) -> ET.Element:
+    root = ET.Element("COMPLEX_OBJECT")
+    ET.SubElement(root, "OBJ_NAME").text = obj.obj_name
+    ET.SubElement(root, "DATE").text = obj.date.isoformat()
+    ET.SubElement(root, "SOURCE").text = obj.source
+    for subdoc in obj.subdocuments:
+        sub = ET.SubElement(root, "SUBDOCUMENT")
+        ET.SubElement(sub, "DOC_NAME").text = subdoc.doc_name
+        ET.SubElement(sub, "TYPE").text = subdoc.type
+        ET.SubElement(sub, "SIZE").text = str(subdoc.size)
+        ET.SubElement(sub, "LOCATION").text = subdoc.location
+        if subdoc.language is not None:
+            ET.SubElement(sub, "LANGUAGE").text = subdoc.language
+        for kw in subdoc.keywords:
+            ET.SubElement(sub, "KEYWORD").text = kw
+        _payload_into(sub, subdoc.payload)
+    return root
 
 
-# -- schema-driven arrangement -----------------------------------------------------
-
-
-def _can_start(model, queues) -> bool:
-    if isinstance(model, ElementRef):
-        return bool(queues.get(model.name))
-    if isinstance(model, Sequence):
-        for part in model.parts:
-            if _can_start(part, queues):
-                return True
-            if not nullable(part):
-                return False
-        return False
-    if isinstance(model, Choice):
-        return any(_can_start(a, queues) for a in model.alternatives)
-    if isinstance(model, Repeat):
-        return _can_start(model.inner, queues)
-    return False
-
-
-def _arrange(name, payload, schema: DtdSchema) -> ET.Element:
-    model = schema.elements.get(name)
-    if model is None:
-        raise ModelViolation(f"element {name} is not declared in the schema")
-    element = ET.Element(name)
-    if isinstance(model, PCData):
-        if isinstance(payload, list):
-            raise ModelViolation(f"{name} holds character data, not child elements")
-        element.text = payload
-        return element
-    if not isinstance(payload, list):
-        raise ModelViolation(f"{name} holds child elements, not character data")
-
-    queues: dict[str, deque] = {}
-    for node in payload:
-        queues.setdefault(node[0], deque()).append(node)
-
-    def emit(part):
-        if isinstance(part, ElementRef):
-            queue = queues.get(part.name)
-            if queue:
-                child_name, child_payload = queue.popleft()
-                element.append(_arrange(child_name, child_payload, schema))
-            elif schema.is_leaf(part.name):
-                # missing value: an empty element stands in
-                element.append(ET.Element(part.name))
-            else:
-                raise ModelViolation(f"required element {part.name} missing under {name}")
-        elif isinstance(part, Sequence):
-            for p in part.parts:
-                emit(p)
-        elif isinstance(part, Choice):
-            for alt in part.alternatives:
-                if _can_start(alt, queues):
-                    emit(alt)
-                    return
-            raise ModelViolation(
-                f"no alternative of a choice under {name} is present")
-        elif isinstance(part, Repeat):
-            if part.mult == "?":
-                if _can_start(part.inner, queues):
-                    emit(part.inner)
-            elif part.mult == "*":
-                while _can_start(part.inner, queues):
-                    emit(part.inner)
-            else:  # "+": at least one instance, then as many as remain
-                emit(part.inner)
-                while _can_start(part.inner, queues):
-                    emit(part.inner)
-        else:
-            raise ModelViolation(f"cannot emit against {part!r}")
-
-    emit(model)
-    leftover = [n for n, q in queues.items() if q]
-    if leftover:
-        raise ModelViolation(
-            f"{name} has children the content model does not allow: "
-            + ", ".join(sorted(leftover)))
-    return element
-
-
-def build_tree(obj: m.ComplexObject, schema: DtdSchema) -> ET.Element:
-    name, payload = _object_node(obj)
-    return _arrange(name, payload, schema)
+# outside XML 1.0's Char production (section 2.2): no escape can write these
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def serialize(obj: m.ComplexObject, schema: DtdSchema,
               system_id: str = DEFAULT_SYSTEM_ID) -> str:
     """Emit the canonical document for an object.
 
-    Children follow the schema's declared order. A scalar the object does
-    not carry (for example an image with no recorded format) is emitted as
-    an empty element rather than dropped.
+    Children follow the DTD's declared order, taken from the object model,
+    which mirrors the bundled DTD; ``schema`` is that DTD's schema and is
+    not walked. A scalar the object does not carry (for example an image
+    with no recorded format) is emitted as an empty element rather than
+    dropped. A character outside XML 1.0's ``Char`` raises
+    UnrepresentableCharacter naming the element that holds it.
     """
-    return format_document(build_tree(obj, schema), system_id)
+    root = _object_tree(obj)
+    text = format_document(root, system_id)
+    bad = _NOT_XML_CHAR.search(text)
+    if bad is not None:
+        for element in root.iter():
+            found = _NOT_XML_CHAR.search(element.text or "")
+            if found is not None:
+                raise UnrepresentableCharacter(element.tag, found.group())
+        raise UnrepresentableCharacter("DOCTYPE", bad.group())
+    return text
 
 
 # -- parsing ------------------------------------------------------------------------

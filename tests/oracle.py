@@ -1,14 +1,23 @@
-"""Reference content-model matcher: the recursive backtracker.
+"""Reference implementations that the package's faster code is compared against.
 
-It yields every way a model matches a run of child names, in the order a
-backtracking search tries them: repeats greedy, alternatives in order,
-zero-width iterations skipped. The first full match is the answer, and a
-failure reports the deepest position reached with the names expected there.
-Its recursion depth grows with the number of children and its time can be
-exponential, so it serves only as the oracle that `multiform.dtd`'s
-position automaton is compared against.
+The recursive backtracker yields every way a content model matches a run
+of child names, in the order a backtracking search tries them: repeats
+greedy, alternatives in order, zero-width iterations skipped. The first
+full match is the answer, and a failure reports the deepest position
+reached with the names expected there. Its recursion depth grows with the
+number of children and its time can be exponential, so it serves only as
+the oracle that `multiform.dtd`'s position automaton is compared against.
+
+The schema-driven serializer maps an object to value nodes and orders each
+element's children by walking its content model, filling a missing leaf
+with an empty element. `multiform.xmldoc.serialize` writes children
+straight from the object in declared order and must give the same bytes.
 """
 
+from collections import deque
+from xml.etree import ElementTree as ET
+
+from multiform import model as m
 from multiform.dtd import (
     Choice,
     ElementRef,
@@ -16,10 +25,13 @@ from multiform.dtd import (
     MRef,
     MRep,
     MSeq,
+    PCData,
     Repeat,
     Sequence,
     nullable,
 )
+from multiform.errors import ModelViolation
+from multiform.xmldoc import DEFAULT_SYSTEM_ID, format_document
 
 
 class Failure:
@@ -87,3 +99,154 @@ def match_children(model, names, fail=None):
             return tree
         fail.note(end, "end of children")
     return None
+
+
+# -- schema-driven serializer ----------------------------------------------------
+#
+# A value node is (name, text) for leaves and (name, [nodes]) for elements
+# with children; arrange() orders children by the content model.
+
+
+def payload_node(payload):
+    if isinstance(payload, m.TextPayload):
+        body = payload.body
+        if isinstance(body, m.PlainText):
+            inner = [("PLAIN_TEXT", body.content)]
+        else:
+            inner = [("TAGGED_TEXT",
+                      [("CONTENT", body.content)] + [("LINK", l) for l in body.links])]
+        return ("TEXT", [("NB_CHAR", str(payload.nb_char)),
+                         ("NB_LINES", str(payload.nb_lines))] + inner)
+    if isinstance(payload, m.RelationalView):
+        kids = []
+        if payload.query is not None:
+            kids.append(("QUERY", payload.query))
+        for a in payload.attributes:
+            kids.append(("ATTRIBUTE", [("ATT_NAME", a.att_name), ("DOMAIN", a.domain)]))
+        for t in payload.tuples:
+            cells = []
+            for c in t.cells:
+                cells.append(("ATT_NAME_REF", c.att_name_ref))
+                cells.append(("VALUE", c.value))
+            kids.append(("TUPLE", cells))
+        return ("RELATIONAL_VIEW", kids)
+    if isinstance(payload, m.ImageMeta):
+        kids = []
+        if payload.compression is not None:
+            kids.append(("COMPRESSION", payload.compression))
+        if payload.format is not None:
+            kids.append(("FORMAT", payload.format))
+        if payload.resolution is not None:
+            kids.append(("RESOLUTION", payload.resolution))
+        kids.append(("LENGTH", str(payload.length)))
+        kids.append(("WIDTH", str(payload.width)))
+        return ("IMAGE", kids)
+    if isinstance(payload, m.ContinuousMeta):
+        media = payload.media
+        tag = "SOUND" if isinstance(media, m.Sound) else "VIDEO"
+        return ("CONTINUOUS", [("DURATION", payload.duration),
+                               ("SPEED", payload.speed),
+                               (tag, media.ref)])
+    raise ModelViolation(f"unknown payload variant {type(payload).__name__}")
+
+
+def object_node(obj):
+    kids = [("OBJ_NAME", obj.obj_name),
+            ("DATE", obj.date.isoformat()),
+            ("SOURCE", obj.source)]
+    for sub in obj.subdocuments:
+        sk = [("DOC_NAME", sub.doc_name),
+              ("TYPE", sub.type),
+              ("SIZE", str(sub.size)),
+              ("LOCATION", sub.location)]
+        if sub.language is not None:
+            sk.append(("LANGUAGE", sub.language))
+        for kw in sub.keywords:
+            sk.append(("KEYWORD", kw))
+        sk.append(payload_node(sub.payload))
+        kids.append(("SUBDOCUMENT", sk))
+    return ("COMPLEX_OBJECT", kids)
+
+
+def can_start(model, queues) -> bool:
+    if isinstance(model, ElementRef):
+        return bool(queues.get(model.name))
+    if isinstance(model, Sequence):
+        for part in model.parts:
+            if can_start(part, queues):
+                return True
+            if not nullable(part):
+                return False
+        return False
+    if isinstance(model, Choice):
+        return any(can_start(a, queues) for a in model.alternatives)
+    if isinstance(model, Repeat):
+        return can_start(model.inner, queues)
+    return False
+
+
+def arrange(name, payload, schema) -> ET.Element:
+    model = schema.elements.get(name)
+    if model is None:
+        raise ModelViolation(f"element {name} is not declared in the schema")
+    element = ET.Element(name)
+    if isinstance(model, PCData):
+        if isinstance(payload, list):
+            raise ModelViolation(f"{name} holds character data, not child elements")
+        element.text = payload
+        return element
+    if not isinstance(payload, list):
+        raise ModelViolation(f"{name} holds child elements, not character data")
+
+    queues: dict[str, deque] = {}
+    for node in payload:
+        queues.setdefault(node[0], deque()).append(node)
+
+    def emit(part):
+        if isinstance(part, ElementRef):
+            queue = queues.get(part.name)
+            if queue:
+                child_name, child_payload = queue.popleft()
+                element.append(arrange(child_name, child_payload, schema))
+            elif schema.is_leaf(part.name):
+                # missing value: an empty element stands in
+                element.append(ET.Element(part.name))
+            else:
+                raise ModelViolation(f"required element {part.name} missing under {name}")
+        elif isinstance(part, Sequence):
+            for p in part.parts:
+                emit(p)
+        elif isinstance(part, Choice):
+            for alt in part.alternatives:
+                if can_start(alt, queues):
+                    emit(alt)
+                    return
+            raise ModelViolation(
+                f"no alternative of a choice under {name} is present")
+        elif isinstance(part, Repeat):
+            if part.mult == "?":
+                if can_start(part.inner, queues):
+                    emit(part.inner)
+            elif part.mult == "*":
+                while can_start(part.inner, queues):
+                    emit(part.inner)
+            else:  # "+": at least one instance, then as many as remain
+                emit(part.inner)
+                while can_start(part.inner, queues):
+                    emit(part.inner)
+        else:
+            raise ModelViolation(f"cannot emit against {part!r}")
+
+    emit(model)
+    leftover = [n for n, q in queues.items() if q]
+    if leftover:
+        raise ModelViolation(
+            f"{name} has children the content model does not allow: "
+            + ", ".join(sorted(leftover)))
+    return element
+
+
+def serialize(obj, schema, system_id=DEFAULT_SYSTEM_ID) -> str:
+    """The canonical document, children ordered by walking the schema."""
+    name, payload = object_node(obj)
+    return format_document(arrange(name, payload, schema), system_id)

@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multiform
 from imagegen import make_gif, make_png
@@ -312,6 +314,31 @@ def test_carriage_returns_survive_every_command(workdir, name, content):
         (workdir / "cr.xml").read_bytes()
 
 
+@pytest.mark.parametrize("files, flags, message", [
+    ({"vt.txt": b"a\x0bb\n"}, [], "PLAIN_TEXT holds U+000B"),
+    ({"nc.txt": "\ufffe".encode()}, [], "PLAIN_TEXT holds U+FFFE"),
+    ({"cell.csv": b"k,v\n1,a\x01b\n"}, [], "VALUE holds U+0001"),
+    ({"s.txt": b"ok\n", "s.meta": b"keyword: a\x01b\n"}, ["--sidecar", "s.meta"],
+     "KEYWORD holds U+0001"),
+    ({"s.txt": b"ok\n"}, ["--keywords", "a\x01b"], "KEYWORD holds U+0001"),
+], ids=["vt-in-text", "noncharacter-in-text", "soh-in-csv-cell",
+        "soh-in-sidecar-keyword", "soh-in-keyword-flag"])
+def test_characters_xml_cannot_hold_are_an_input_error(workdir, capsys,
+                                                        files, flags, message):
+    for name, content in files.items():
+        put(workdir, name, content)
+    assert main(["ingest", next(iter(files)), "--out", "bad.xml", *flags]) == 2
+    assert one_line_error(capsys) == \
+        f"multiform: error: {message}, which XML 1.0 cannot represent"
+    assert not (workdir / "bad.xml").exists()
+
+
+def test_a_table_the_csv_reader_rejects_is_an_input_error(workdir, capsys):
+    put(workdir, "cr.csv", b"a\rb,c\n1,2\n")
+    assert main(["ingest", "cr.csv", "--out", "cr.xml"]) == 2
+    assert "'cr.csv' line 1: new-line character seen" in one_line_error(capsys)
+
+
 def test_export_missing_store(workdir):
     assert main(["export", "--db", "none.db", "--id", "1"]) == 1
 
@@ -336,6 +363,41 @@ def test_load_into_a_file_that_is_not_a_database(workdir, capsys):
     assert main(["load", "out.xml", "--db", "junk.db"]) == 2
     assert "file is not a database" in one_line_error(capsys)
     assert capsys.readouterr().out == ""
+
+
+# -- the error contract under arbitrary input ---------------------------------------
+
+# separators, quotes and markup make well-formed tables, sidecars and tags common
+fuzz_text = st.text(st.sampled_from(',\t"\r\n:#<>=\'& ab')
+                    | st.characters(codec="utf-8"))
+fuzz_bytes = st.binary() | fuzz_text.map(str.encode)
+sidecar_keys = st.sampled_from(["keyword", "language", "query", "name", "source",
+                                "date", "domain.a", "resolution", "bogus"])
+sidecar_values = st.text(st.characters(codec="utf-8",
+                                       exclude_categories=("Cc", "Zl", "Zp")))
+sidecars = st.none() | fuzz_bytes | st.lists(st.tuples(sidecar_keys, sidecar_values)).map(
+    lambda pairs: "".join(f"{k}: {v}\n" for k, v in pairs).encode())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["in.txt", "in.csv", "in.tsv", "in.html"]), fuzz_bytes,
+       sidecars)
+def test_any_input_exits_cleanly_and_what_ingests_comes_back(name, data, sidecar):
+    with tempfile.TemporaryDirectory() as tmp:
+        at = Path(tmp)
+        (at / name).write_bytes(data)
+        flags = []
+        if sidecar is not None:
+            (at / "in.meta").write_bytes(sidecar)
+            flags = ["--sidecar", str(at / "in.meta")]
+        out, back, db = (str(at / n) for n in ("out.xml", "back.xml", "ods.db"))
+        code = main(["ingest", str(at / name), "--out", out, *flags])
+        assert code in range(5)
+        if code == 0:
+            assert main(["validate", out]) == 0
+            assert main(["load", out, "--db", db]) == 0
+            assert main(["export", "--db", db, "--id", "1", "--out", back]) == 0
+            assert Path(back).read_bytes() == Path(out).read_bytes()
 
 
 def test_console_entry_point(workdir):

@@ -1,11 +1,20 @@
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from multiform.errors import NotWellFormed, UnsupportedConstruct
+import oracle
+from multiform.dtd import validate
+from multiform.errors import (
+    ModelViolation,
+    NotWellFormed,
+    UnrepresentableCharacter,
+    UnsupportedConstruct,
+)
 from multiform.model import (
     Attribute,
     Cell,
+    ComplexObject,
     ContinuousMeta,
     ImageMeta,
     PlainText,
@@ -92,6 +101,30 @@ def test_keywords_keep_their_order(schema):
     text = serialize(obj, schema)
     assert text.index("<KEYWORD>z<") < text.index("<KEYWORD>a<") \
         < text.index("<KEYWORD>m<")
+
+
+@pytest.mark.parametrize("source, sub_kw, element", [
+    ("\x01", {}, "SOURCE"),
+    ("Local", {"location": "a\x0bb"}, "LOCATION"),
+    ("Local", {"keywords": ("ok", "\ufffe")}, "KEYWORD"),
+    ("Local", {"language": "\uffff"}, "LANGUAGE"),
+    ("Local", {"payload": TextPayload(1, 1, PlainText("\x00"))}, "PLAIN_TEXT"),
+    ("Local", {"payload": ImageMeta(1, 1, resolution="\ud800")}, "RESOLUTION"),
+])
+def test_characters_outside_xml_are_rejected_with_their_element(
+        schema, source, sub_kw, element):
+    sub_kw = {"payload": ImageMeta(length=1, width=1), **sub_kw}
+    obj = make_complex_object("Obj", "2002-06-15", source, [one_sub(**sub_kw)])
+    with pytest.raises(UnrepresentableCharacter) as err:
+        serialize(obj, schema)
+    assert err.value.element == element
+    assert f"{element} holds U+" in str(err.value)
+
+
+def test_a_system_id_outside_xml_is_rejected(schema):
+    with pytest.raises(UnrepresentableCharacter) as err:
+        serialize(image_object(), schema, system_id="a\x01.dtd")
+    assert str(err.value) == "DOCTYPE holds U+0001, which XML 1.0 cannot represent"
 
 
 def test_format_document_renders_empty_leaves_as_self_closing():
@@ -183,3 +216,56 @@ def test_round_trip_of_multiple_subdocuments(schema):
     rebuilt = to_object(doc.root)
     assert rebuilt == obj
     assert [s.type for s in rebuilt.subdocuments] == ["Text", "Image"]
+
+
+# -- against the schema-driven serializer in oracle.py ---------------------------
+
+# markup, CR and a non-ASCII letter exercise escaping; the oracle test is
+# about element order, so a small alphabet keeps examples readable
+leaf = st.text(st.sampled_from("ab &<>\r\n\t\u00e9"), max_size=5)
+name = leaf.filter(bool)
+unset_or_leaf = st.none() | leaf
+
+text_payloads = st.builds(
+    TextPayload, nb_char=st.integers(0, 999), nb_lines=st.integers(0, 99),
+    body=st.builds(PlainText, leaf)
+    | st.builds(TaggedText, leaf, st.lists(leaf, max_size=3).map(tuple)))
+
+
+@st.composite
+def views(draw):
+    names = draw(st.lists(name, min_size=1, max_size=3, unique=True))
+    cells = st.lists(st.builds(Cell, st.sampled_from(names), leaf), min_size=1, max_size=3)
+    return RelationalView(
+        attributes=tuple(Attribute(n, draw(leaf)) for n in names),
+        tuples=tuple(ViewTuple(tuple(c)) for c in draw(st.lists(cells, max_size=4))),
+        query=draw(unset_or_leaf))
+
+
+images = st.builds(ImageMeta, length=st.integers(1, 9999), width=st.integers(1, 9999),
+                   format=unset_or_leaf, compression=unset_or_leaf,
+                   resolution=unset_or_leaf)
+continuous = st.builds(ContinuousMeta, st.sampled_from(["0", "3.5", "90"]), name,
+                       st.builds(Sound, leaf) | st.builds(Video, leaf))
+subdocuments = st.builds(
+    Subdocument, doc_name=name, size=st.integers(0, 10 ** 6), location=leaf,
+    payload=st.one_of(text_payloads, views(), images, continuous),
+    language=unset_or_leaf, keywords=st.lists(leaf, max_size=4).map(tuple))
+objects = st.builds(ComplexObject, obj_name=name, date=st.dates(), source=leaf,
+                    subdocuments=st.lists(subdocuments, min_size=1, max_size=4)
+                    .map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(objects)
+def test_serialize_matches_the_schema_driven_oracle(schema, obj):
+    text = serialize(obj, schema)
+    assert text == oracle.serialize(obj, schema)
+    assert validate(parse_document(text).root, schema).valid
+
+
+def test_an_unknown_payload_variant_is_a_model_violation(schema):
+    obj = image_object()
+    object.__setattr__(obj.subdocuments[0], "payload", "not a payload")
+    with pytest.raises(ModelViolation):
+        serialize(obj, schema)
