@@ -3,9 +3,10 @@
 The accepted subset is element declarations only: sequences, choices and
 the ``?``/``*``/``+`` multiplicities, plus ``(#PCDATA)`` leaves. Attribute
 lists, entities, notations, mixed content and the EMPTY/ANY keywords are
-rejected; comments are skipped. This is enough to express a content model
-as an ordinary regular expression over child element names, so validation
-is plain regular-language matching with a recorded failure position.
+rejected; comments are skipped, and groups nest at most MAX_GROUP_DEPTH
+deep. This is enough to express a content model as an ordinary regular
+expression over child element names, so validation is plain
+regular-language matching with a recorded failure position.
 """
 
 from __future__ import annotations
@@ -121,6 +122,11 @@ def _lex(text: str):
 
 # -- parser ----------------------------------------------------------------------
 
+# Deepest group nesting a content model may have. Parsing, and every later
+# walk of a model, recurses once or twice per level, so the cap keeps them
+# all well inside Python's stack (libxml2's default limit is the same).
+MAX_GROUP_DEPTH = 128
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -183,14 +189,17 @@ class _Parser:
                                          f"({tok[1]} is not supported)", found=tok[1])
         if tok[0] != "lparen":
             raise DtdSyntaxError(tok[2], "'('", found=tok[1])
-        base = self.group(element, top=True)
+        base = self.group(element, 1)
         if isinstance(base, PCData):
             return base
         mult = self.multiplicity()
         return Repeat(base, mult) if mult else base
 
-    def group(self, element, top=False):
-        self.expect("lparen", "'('")
+    def group(self, element, depth):
+        line = self.expect("lparen", "'('")[2]
+        if depth > MAX_GROUP_DEPTH:
+            raise DtdSyntaxError(line, f"groups nested at most {MAX_GROUP_DEPTH} deep",
+                                 found="(")
         tok = self.peek()
         if tok is not None and tok[0] == "pcdata":
             line = tok[2]
@@ -198,11 +207,11 @@ class _Parser:
             after = self.peek()
             if after is not None and after[0] == "pipe":
                 raise MixedContent(element, line)
-            if not top:
+            if depth > 1:
                 raise MixedContent(element, line)
             self.expect("rparen", "')'")
             return PCData()
-        parts = [self.particle(element)]
+        parts = [self.particle(element, depth)]
         sep = None
         while True:
             tok = self.peek()
@@ -219,7 +228,7 @@ class _Parser:
                 raise DtdSyntaxError(tok[2], f"'{',' if sep == 'comma' else '|'}'",
                                      found=tok[1])
             self.next()
-            parts.append(self.particle(element))
+            parts.append(self.particle(element, depth))
         if sep == "pipe":
             return Choice(tuple(parts))
         if len(parts) == 1:
@@ -232,7 +241,7 @@ class _Parser:
                 flat.append(p)
         return Sequence(tuple(flat))
 
-    def particle(self, element):
+    def particle(self, element, depth):
         tok = self.peek()
         if tok is None:
             raise DtdSyntaxError(self.line, "an element name or '('",
@@ -243,7 +252,7 @@ class _Parser:
             self.next()
             base = ElementRef(tok[1])
         elif tok[0] == "lparen":
-            base = self.group(element)
+            base = self.group(element, depth + 1)
         else:
             raise DtdSyntaxError(tok[2], "an element name or '('", found=tok[1])
         mult = self.multiplicity()
@@ -620,7 +629,7 @@ def validate(document, schema: DtdSchema) -> ValidationReport:
         violations.append(Violation(path, f"root element must be {schema.root}",
                                     expected=schema.root))
     if document.tag in schema.elements:
-        _validate_element(document, path, schema, violations, matches, {})
+        _validate_tree(document, path, schema, violations, matches)
     return ValidationReport(document=document, valid=not violations,
                             violations=tuple(violations), matches=matches)
 
@@ -631,60 +640,66 @@ def validate(document, schema: DtdSchema) -> ValidationReport:
 # kept in `shapes`: a shape that fails is matched again at each element, which
 # gives each failure its own violation exactly as a first match would. A text
 # leaf (a declared #PCDATA element with no child elements) has nothing to
-# check, so it gets neither a path nor a call.
+# check, so it gets neither a path nor a visit. Elements are visited in
+# document order from an explicit stack, so nesting depth costs no recursion.
 
 
-def _validate_element(element, path, schema, out, matches, shapes):
-    model = schema.elements[element.tag]
-    children = list(element)
+def _validate_tree(root, path, schema, out, matches):
+    elements, automata = schema.elements, schema._automata
+    shapes = {}
+    stack = [(root, path)]
+    while stack:
+        element, path = stack.pop()
+        model = elements.get(element.tag)
+        if model is None:
+            out.append(Violation(path, f"element {element.tag} is not declared"))
+            continue
+        children = list(element)
 
-    if isinstance(model, PCData):
-        if children:
-            out.append(Violation(path, "leaf element must not contain child elements",
-                                 expected="(#PCDATA)"))
-        return
+        if isinstance(model, PCData):
+            if children:
+                out.append(Violation(path, "leaf element must not contain child elements",
+                                     expected="(#PCDATA)"))
+            continue
 
-    if element.text and element.text.strip():
-        out.append(Violation(path, "character data is not allowed between child elements",
-                             expected=render_model(model)))
-    for child in children:
-        if child.tail and child.tail.strip():
+        if element.text and element.text.strip():
             out.append(Violation(path, "character data is not allowed between child elements",
                                  expected=render_model(model)))
-            break
+        for child in children:
+            if child.tail and child.tail.strip():
+                out.append(Violation(path, "character data is not allowed between child elements",
+                                     expected=render_model(model)))
+                break
 
-    names = [c.tag for c in children]
-    shape = (element.tag, tuple(names))
-    tree = shapes.get(shape)
-    if tree is None:
-        fail = _Failure()
-        tree = schema._automata[element.tag].match(names, fail)
+        names = [c.tag for c in children]
+        shape = (element.tag, tuple(names))
+        tree = shapes.get(shape)
         if tree is None:
-            at = fail.pos if fail.pos >= 0 else len(names)
-            found = names[at] if at < len(names) else "end of children"
-            expected = ", ".join(sorted(fail.expected)) or render_model(model)
-            out.append(Violation(
-                path,
-                f"children do not match the content model: at child {at + 1} "
-                f"expected one of {{{expected}}}, found {found}",
-                expected=render_model(model),
-            ))
-        else:
-            shapes[shape] = tree
-    if tree is not None:
-        matches[element] = tree
+            fail = _Failure()
+            tree = automata[element.tag].match(names, fail)
+            if tree is None:
+                at = fail.pos if fail.pos >= 0 else len(names)
+                found = names[at] if at < len(names) else "end of children"
+                expected = ", ".join(sorted(fail.expected)) or render_model(model)
+                out.append(Violation(
+                    path,
+                    f"children do not match the content model: at child {at + 1} "
+                    f"expected one of {{{expected}}}, found {found}",
+                    expected=render_model(model),
+                ))
+            else:
+                shapes[shape] = tree
+        if tree is not None:
+            matches[element] = tree
 
-    automata = schema._automata
-    child_paths = None
-    for k, child in enumerate(children):
-        if child.tag not in automata and child.tag in schema.elements and not len(child):
-            continue  # a text leaf
-        if child_paths is None:
-            child_paths = _child_paths(path, names)
-        if child.tag not in schema.elements:
-            out.append(Violation(child_paths[k], f"element {child.tag} is not declared"))
-            continue
-        _validate_element(child, child_paths[k], schema, out, matches, shapes)
+        child_paths = None
+        for k in range(len(children) - 1, -1, -1):  # pushed last to first
+            child = children[k]
+            if child.tag not in automata and child.tag in elements and not len(child):
+                continue  # a text leaf
+            if child_paths is None:
+                child_paths = _child_paths(path, names)
+            stack.append((child, child_paths[k]))
 
 
 # -- bundled schema -----------------------------------------------------------------

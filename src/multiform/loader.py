@@ -1,8 +1,9 @@
 """Shredding documents into rows, the backing store, loading, and export.
 
-shred turns a validated element tree into ordered inserts by walking each
-element's relational layout and the match tree validation found for its
-children in lockstep.
+shred turns a validated element tree into ordered inserts by walking the
+layout each element's table carries and the match tree validation found
+for its children in lockstep. A leaf with a table of its own (the root,
+or a repeated leaf) fills that row's `value` column.
 load applies a RowSet to a store atomically, offsetting ids so documents
 accumulate; it inserts one batch per table, parents before children.
 export inverts the layout walk and hands the rebuilt tree to the canonical
@@ -26,7 +27,6 @@ from .mapper import (
     Alt,
     GroupTable,
     LeafCol,
-    LeafTable,
     RelationalSchema,
     Rep,
     Seq,
@@ -64,30 +64,29 @@ class _Shredder:
         self.rows = rows
         self.next_id = {}
 
-    def new_row(self, table_name, ctx):
-        n = self.next_id.get(table_name, 0) + 1
-        self.next_id[table_name] = n
-        row = self.rows.add(table_name)
+    def new_row(self, table, ctx):
+        name = table.name
+        n = self.next_id.get(name, 0) + 1
+        self.next_id[name] = n
+        row = self.rows.add(name)
         row["id"] = n
         if ctx is not None:
             parent_row, counters = ctx
-            table = self.rschema.table(table_name)
             row[table.fk] = parent_row["id"]
-            counters[table_name] = counters.get(table_name, 0) + 1
-            row["pos"] = counters[table_name]
+            counters[name] = counters.get(name, 0) + 1
+            row["pos"] = counters[name]
         return row
 
-    def element(self, node, table_name, ctx):
-        row = self.new_row(table_name, ctx)
-        name = self.rschema.table(table_name).element
-        layout = self.rschema.layouts[name]
+    def element(self, node, table, ctx):
+        row = self.new_row(table, ctx)
+        layout = table.layout
         if isinstance(layout, TextCol):
             row[layout.column] = node.text or ""
             return
         tree = self.matches.get(node)
         if tree is None:
             raise NotValidated(f"the validation report holds no match for the "
-                               f"children of a {name} element")
+                               f"children of a {table.element} element")
         self.walk(layout, tree, list(node), (row, {}))
 
     def walk(self, layout, mtree, children, ctx):
@@ -95,12 +94,9 @@ class _Shredder:
         if isinstance(layout, LeafCol):
             row[layout.column] = children[mtree.index].text or ""
         elif isinstance(layout, TableRef):
-            self.element(children[mtree.index], layout.table, ctx)
-        elif isinstance(layout, LeafTable):
-            leaf = self.new_row(layout.table, ctx)
-            leaf["value"] = children[mtree.index].text or ""
+            self.element(children[mtree.index], self.rschema.table(layout.table), ctx)
         elif isinstance(layout, GroupTable):
-            group = self.new_row(layout.table, ctx)
+            group = self.new_row(self.rschema.table(layout.table), ctx)
             self.walk(layout.inner, mtree, children, (group, {}))
         elif isinstance(layout, Seq):
             for part, sub in zip(layout.parts, mtree.parts):
@@ -125,7 +121,8 @@ def shred(document: ET.Element, schema: DtdSchema, rschema: RelationalSchema,
     if not report.valid:
         raise NotValidated("document failed validation; refusing to shred it")
     rows = RowSet()
-    _Shredder(rschema, report.matches, rows).element(document, rschema.root_table, None)
+    _Shredder(rschema, report.matches, rows).element(
+        document, rschema.table(rschema.root_table), None)
     return rows
 
 
@@ -331,31 +328,27 @@ class _Exporter:
         return {parent: [dict(zip(names, values)) for values in group]
                 for parent, group in groupby(cur, fk_of) if parent in parents}
 
-    def element(self, table_name, row) -> ET.Element:
-        table = self.rschema.table(table_name)
+    def element(self, table, row) -> ET.Element:
         node = ET.Element(table.element)
-        layout = self.rschema.layouts[table.element]
+        layout = table.layout
         if isinstance(layout, TextCol):
             node.text = row[layout.column] or ""
         else:
-            node.extend(self.walk(layout, table_name, row))
-        return node
-
-    def leaf(self, name, text) -> ET.Element:
-        node = ET.Element(name)
-        node.text = text
+            node.extend(self.walk(layout, table.name, row))
         return node
 
     def walk(self, layout, table_name, row) -> list:
         """Children encoded by `layout` on this row, in document order."""
         if isinstance(layout, LeafCol):
             value = row[layout.column]
-            return [] if value is None else [self.leaf(layout.element, value)]
+            if value is None:
+                return []
+            node = ET.Element(layout.element)
+            node.text = value
+            return [node]
         if isinstance(layout, TableRef):
-            return [self.element(layout.table, child)
-                    for child in self.select(layout.table, row["id"])]
-        if isinstance(layout, LeafTable):
-            return [self.leaf(layout.element, child["value"])
+            table = self.rschema.table(layout.table)
+            return [self.element(table, child)
                     for child in self.select(layout.table, row["id"])]
         if isinstance(layout, GroupTable):
             out = []
@@ -393,5 +386,5 @@ def export(store: OdsStore, object_id: int, schema: DtdSchema,
     if found is None:
         raise UnknownId(rschema.root_table, object_id)
     row = dict(zip(names, found))
-    tree = _Exporter(store, object_id).element(rschema.root_table, row)
+    tree = _Exporter(store, object_id).element(root_table, row)
     return format_document(tree, system_id)

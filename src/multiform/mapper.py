@@ -1,12 +1,14 @@
 """Compilation of a DTD schema into a relational schema.
 
-Every complex element becomes a table; leaf children become columns or,
-when repeated, tables of their own; choices become discriminator columns;
-repeated groups become synthetic tables. The compiler also produces a
-layout tree per complex element, mirroring its content model node for
-node, which the shredder and the exporter both walk. The mapping only
-works for tree-shaped DTDs: an element stored in two places would need
-two parent links, so sharing reports a NameCollision.
+Every complex element becomes a table, and so does every repeated leaf:
+its table holds one row per occurrence, with the text in a `value`
+column. A leaf occurring at most once becomes a column on its parent's
+row; choices become discriminator columns; repeated groups become
+synthetic tables. Each element table carries its layout, a tree that
+mirrors the element's content model node for node and says where each
+part lives relationally; the shredder and the exporter both walk it. The
+mapping only works for tree-shaped DTDs: an element stored in two places
+would need two parent links, so sharing reports a NameCollision.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ class Table:
     fk: str | None = None
     single_per_parent: bool = False
     columns: list = field(default_factory=list)
+    layout: object = None        # an element table's layout, None for synthetic
 
     def column_names(self):
         return [c.name for c in self.columns]
@@ -43,7 +46,7 @@ class Table:
 
 @dataclass(frozen=True)
 class TextCol:
-    """Text content of a leaf root element, held in its own table."""
+    """Text content of a leaf element, held on its own table's row."""
     column: str
 
 
@@ -56,15 +59,7 @@ class LeafCol:
 
 @dataclass(frozen=True)
 class TableRef:
-    """Complex element: rows of its own table linked to the current row."""
-    element: str
-    table: str
-
-
-@dataclass(frozen=True)
-class LeafTable:
-    """Repeated leaf element: one row per occurrence."""
-    element: str
+    """Element with a table of its own: its rows linked to the current row."""
     table: str
 
 
@@ -98,7 +93,6 @@ class Rep:
 class RelationalSchema:
     tables: tuple
     by_name: dict
-    layouts: dict        # complex element name -> layout tree of its model
     root_element: str
     root_table: str
 
@@ -119,7 +113,6 @@ class _Builder:
         self.schema = schema
         self.tables = []
         self.by_name = {}
-        self.layouts = {}
         self.choice_count = {}
         self.group_count = {}
 
@@ -146,25 +139,20 @@ class _Builder:
         self.add_column(table, "pos", "integer", "sibling order")
 
     def element_table(self, name, parent: Table | None, single: bool) -> Table:
-        table = self.new_table(name.lower(), f"element {name}", element=name)
+        model = self.schema.elements[name]
+        leaf = isinstance(model, PCData)
+        # below the root, a leaf gets a table only when it repeats
+        kind = "repeated leaf" if leaf and parent is not None else "element"
+        table = self.new_table(name.lower(), f"{kind} {name}", element=name)
         table.single_per_parent = single and parent is not None
         self.add_column(table, "id", "integer", "surrogate key")
         if parent is not None:
             self.link(table, parent)
-        model = self.schema.elements[name]
-        if isinstance(model, PCData):
-            # only reachable for a leaf root; other leaves never get tables here
+        if leaf:
             self.add_column(table, "value", "text", f"text of {name}")
-            self.layouts[name] = TextCol("value")
+            table.layout = TextCol("value")
         else:
-            self.layouts[name] = self.compile(model, table)
-        return table
-
-    def leaf_table(self, name, parent: Table) -> Table:
-        table = self.new_table(name.lower(), f"repeated leaf {name}", element=name)
-        self.add_column(table, "id", "integer", "surrogate key")
-        self.link(table, parent)
-        self.add_column(table, "value", "text", f"text of {name}")
+            table.layout = self.compile(model, table)
         return table
 
     def group_table(self, parent: Table) -> Table:
@@ -200,14 +188,11 @@ class _Builder:
 
     def place(self, name, table: Table, single: bool):
         """A reference to element `name` occurring on rows of `table`."""
-        if not self.schema.is_leaf(name):
-            child = self.element_table(name, table, single)
-            return TableRef(name, child.name)
-        if single:
+        if single and self.schema.is_leaf(name):
             column = name.lower()
             self.add_column(table, column, "text", f"leaf {name}")
             return LeafCol(name, column)
-        return LeafTable(name, self.leaf_table(name, table).name)
+        return TableRef(self.element_table(name, table, single).name)
 
 
 def map_schema(schema: DtdSchema) -> RelationalSchema:
@@ -216,7 +201,6 @@ def map_schema(schema: DtdSchema) -> RelationalSchema:
     builder.element_table(schema.root, None, single=False)
     return RelationalSchema(tables=tuple(builder.tables),
                             by_name=builder.by_name,
-                            layouts=builder.layouts,
                             root_element=schema.root,
                             root_table=schema.root.lower())
 

@@ -207,6 +207,40 @@ def test_validate_against_a_dtd_that_is_not_utf8(workdir, capsys):
     assert "not valid UTF-8" in one_line_error(capsys)
 
 
+def test_validate_a_5000_level_document(workdir):
+    put(workdir, "deep.dtd", "<!ELEMENT S (R)>\n<!ELEMENT R (R?)>\n")
+    put(workdir, "deep.xml", "<S>" + "<R>" * 5000 + "</R>" * 5000 + "</S>\n")
+    assert main(["validate", "deep.xml", "--dtd", "deep.dtd"]) == 0
+
+
+def test_validate_a_1000_level_invalid_document(workdir, capsys):
+    put(workdir, "deep.xml", "<COMPLEX_OBJECT>" + "<SUBDOCUMENT>" * 1000
+        + "</SUBDOCUMENT>" * 1000 + "</COMPLEX_OBJECT>\n")
+    assert main(["validate", "deep.xml"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    # one violation per element, outermost first
+    assert len(lines) == 1001
+    assert lines[0].startswith("deep.xml: /COMPLEX_OBJECT: children do not match")
+    assert lines[-1].startswith(
+        "deep.xml: /COMPLEX_OBJECT" + "/SUBDOCUMENT" * 1000 + ": children")
+
+
+@pytest.mark.parametrize("model", [
+    "(" * 2000 + "A" + ")" * 2000,
+    "(" * 1999 + "(A)*" + ")*" * 1999,
+], ids=["parentheses", "repeats"])
+def test_a_dtd_nested_2000_groups_deep_is_an_input_error(workdir, capsys, model):
+    put(workdir, "deep.dtd", f"<!ELEMENT S (A)>\n<!ELEMENT R {model}>\n"
+                             "<!ELEMENT A (#PCDATA)>\n")
+    put(workdir, "doc.xml", "<S><A>x</A></S>\n")
+    for argv in (["schema"], ["validate", "doc.xml"],
+                 ["load", "doc.xml", "--sql-out", "out.sql"]):
+        assert main([*argv, "--dtd", "deep.dtd"]) == 2
+        assert one_line_error(capsys) == (
+            "multiform: error: line 2: expected groups nested at most 128 "
+            "deep, found '('")
+
+
 def test_ingest_with_a_sidecar_that_is_not_utf8(workdir, capsys):
     put(workdir, "story.txt", "once\n")
     put(workdir, "bad.meta", b"keyword: \xff\n")
@@ -398,6 +432,45 @@ def test_any_input_exits_cleanly_and_what_ingests_comes_back(name, data, sidecar
             assert main(["load", out, "--db", db]) == 0
             assert main(["export", "--db", db, "--id", "1", "--out", back]) == 0
             assert Path(back).read_bytes() == Path(out).read_bytes()
+
+
+# DTD tokens, and whole declarations over the same names, so that both broken
+# and loadable DTDs are common
+dtd_names = st.sampled_from(["A", "B", "R"])
+dtd_tokens = dtd_names | st.sampled_from([
+    "<!ELEMENT", "<!ATTLIST", "EMPTY", "#PCDATA", "%x;", "(", ")", ",", "|", "?",
+    "*", "+", ">", "\n", "<!-- c -->"])
+dtd_models = st.recursive(
+    dtd_names,
+    lambda inner: st.builds(lambda parts, sep, mult: f"({sep.join(parts)}){mult}",
+                            st.lists(inner, min_size=1, max_size=3),
+                            st.sampled_from([", ", " | "]),
+                            st.sampled_from(["", "?", "*", "+"])),
+    max_leaves=5)
+dtd_declarations = st.tuples(
+    dtd_names,
+    st.just("(#PCDATA)") | dtd_models.map(lambda m: m if m[0] == "(" else f"({m})"))
+fuzz_dtds = st.binary() | st.one_of(
+    st.lists(dtd_tokens),
+    st.lists(dtd_declarations, unique_by=lambda d: d[0]).map(
+        lambda ds: [f"<!ELEMENT {name} {model}>" for name, model in ds]),
+).map(lambda pieces: " ".join(pieces).encode())
+fuzz_docs = st.sampled_from(["<R><A>x</A><B>y</B></R>", "<A>x</A>", "<R/>",
+                             "<B><A>a</A><A>b</A></B>", "<R><B><A/></B><A/></R>"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_dtds, fuzz_docs)
+def test_any_dtd_exits_cleanly(dtd, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        at = Path(tmp)
+        (at / "in.dtd").write_bytes(dtd)
+        (at / "doc.xml").write_text(doc + "\n")
+        flags = ["--dtd", str(at / "in.dtd")]
+        assert main(["schema", *flags]) in range(5)
+        assert main(["validate", str(at / "doc.xml"), *flags]) in range(5)
+        assert main(["load", str(at / "doc.xml"), "--sql-out", str(at / "out.sql"),
+                     *flags]) in range(5)
 
 
 def test_console_entry_point(workdir):

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from multiform.dtd import (
+    MAX_GROUP_DEPTH,
     Choice,
     ElementRef,
     PCData,
@@ -61,6 +62,15 @@ def test_nested_groups_parse():
         Repeat(Choice((ElementRef("C"), ElementRef("D"))), "*"),
         Repeat(ElementRef("B"), "?"),
     ))
+
+
+def test_groups_nest_up_to_the_cap():
+    deepest = "(" * MAX_GROUP_DEPTH + "B" + ")*" * MAX_GROUP_DEPTH
+    schema = parse_dtd(f"<!ELEMENT A {deepest}>\n<!ELEMENT B (#PCDATA)>")
+    assert parse_dtd(format_dtd(schema)) == schema
+    with pytest.raises(DtdSyntaxError) as err:
+        parse_dtd(f"<!ELEMENT B (#PCDATA)>\n<!ELEMENT A ({deepest})>")
+    assert err.value.line == 2
 
 
 def test_comments_are_skipped():
