@@ -1,15 +1,18 @@
 """Shredding documents into rows, the backing store, loading, and export.
 
-shred turns a validated element tree into ordered inserts by walking the
-layout each element's table carries and the match tree validation found
-for its children in lockstep. A leaf with a table of its own (the root,
-or a repeated leaf) fills that row's `value` column.
+A row is one form from shred to SQLite and back: a list of values in its
+table's column order, with the positions the mapper assigned (`ID`, `FK`,
+`POS`, and each layout node's column), so nothing here looks up a name.
+shred turns a validated element tree into rows by walking the layout each
+element's table carries and the match tree validation found for its
+children in lockstep. A leaf with a table of its own (the root, or a
+repeated leaf) fills that row's `value` column.
 load applies a RowSet to a store atomically, offsetting ids so documents
 accumulate; it inserts one batch per table, parents before children.
 export inverts the layout walk and hands the rebuilt tree to the canonical
 formatter, which is what makes round-trip checks byte-exact. It reads each
 table the walk reaches with one query per document, then serves every
-parent row its children, in `pos` order, from those rows.
+parent row its children, in `pos` order, from the tuples SQLite returns.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ import xml.etree.ElementTree as ET
 from .dtd import DtdSchema
 from .errors import IntegrityViolation, NotValidated, SchemaMismatch, UnknownId
 from .mapper import (
+    FK,
+    ID,
+    POS,
     Alt,
     GroupTable,
     LeafCol,
@@ -39,20 +45,14 @@ from .xmldoc import DEFAULT_SYSTEM_ID, format_document
 
 @dataclass
 class RowSet:
-    """Ordered inserts; parent rows always precede their children."""
+    """One document's rows: `tables` maps a table name to its rows, each a
+    list of values in `column_names()` order. Ids count from 1 per table,
+    and a parent id is the id of a row in the parent table's list."""
 
-    inserts: list = field(default_factory=list)
-
-    def add(self, table: str) -> dict:
-        row = {}
-        self.inserts.append((table, row))
-        return row
+    tables: dict = field(default_factory=dict)
 
     def counts(self) -> dict:
-        out = {}
-        for table, _ in self.inserts:
-            out[table] = out.get(table, 0) + 1
-        return out
+        return {name: len(rows) for name, rows in self.tables.items()}
 
 
 class _Shredder:
@@ -61,20 +61,17 @@ class _Shredder:
     def __init__(self, rschema, matches, rows):
         self.rschema = rschema
         self.matches = matches
-        self.rows = rows
-        self.next_id = {}
+        self.tables = rows.tables
 
     def new_row(self, table, ctx):
-        name = table.name
-        n = self.next_id.get(name, 0) + 1
-        self.next_id[name] = n
-        row = self.rows.add(name)
-        row["id"] = n
+        rows = self.tables.setdefault(table.name, [])
+        row = [None] * len(table.columns)
+        row[ID] = len(rows) + 1
+        rows.append(row)
         if ctx is not None:
             parent_row, counters = ctx
-            row[table.fk] = parent_row["id"]
-            counters[name] = counters.get(name, 0) + 1
-            row["pos"] = counters[name]
+            row[FK] = parent_row[ID]
+            row[POS] = counters[table.name] = counters.get(table.name, 0) + 1
         return row
 
     def element(self, node, table, ctx):
@@ -111,7 +108,7 @@ class _Shredder:
 
 def shred(document: ET.Element, schema: DtdSchema, rschema: RelationalSchema,
           report) -> RowSet:
-    """Turn a validated element tree into inserts.
+    """Turn a validated element tree into rows.
 
     The ValidationReport for this exact tree must be supplied; shredding
     follows the match trees it holds, so unvalidated input is refused.
@@ -229,29 +226,24 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
     Rows go in one batch per table, tables in schema order (parents first).
     """
     rschema = store.rschema
-    columns = {t.name: set(t.column_names()) for t in rschema.tables}
-    batches = {}
-    for table_name, row in rows.inserts:
-        known = columns.get(table_name)
-        if known is None:
-            raise SchemaMismatch(f"RowSet names unknown table {table_name!r}")
-        unknown = row.keys() - known
-        if unknown:
-            raise SchemaMismatch(
-                f"RowSet names unknown column {table_name}."
-                f"{sorted(unknown)[0]}")
-        batches.setdefault(table_name, []).append(row)
-
-    single_seen = {}
-    for table_name, row in rows.inserts:
-        table = rschema.by_name[table_name]
-        if table.single_per_parent:
-            key = (table_name, row.get(table.fk))
-            if key in single_seen:
-                raise IntegrityViolation(
-                    f"table {table_name} allows one row per parent; "
-                    f"parent id {row.get(table.fk)} got two")
-            single_seen[key] = True
+    for name, batch in rows.tables.items():
+        table = rschema.by_name.get(name)
+        if table is None:
+            raise SchemaMismatch(f"RowSet names unknown table {name!r}")
+        parents = set()
+        for row in batch:
+            if len(row) != len(table.columns):
+                raise SchemaMismatch(f"a row of {name} holds {len(row)} values, "
+                                     f"not one per column")
+            if not isinstance(row[ID], int) or (
+                    table.fk is not None and not isinstance(row[FK], int)):
+                raise SchemaMismatch(f"a row of {name} has an id that is not an integer")
+            if table.single_per_parent:
+                if row[FK] in parents:
+                    raise IntegrityViolation(
+                        f"table {name} allows one row per parent; "
+                        f"parent id {row[FK]} got two")
+                parents.add(row[FK])
 
     counts = {t.name: 0 for t in rschema.tables}
     # offsets are read inside the write transaction, so a concurrent load
@@ -262,20 +254,16 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
     try:
         offsets = dict(zip(counts, store.conn.execute(f"SELECT {maxima}").fetchone()))
         for table in rschema.tables:
-            batch = batches.get(table.name)
+            batch = rows.tables.get(table.name)
             if not batch:
                 continue
-            # absent columns go in as NULL, as they would if left unnamed
+            shift = offsets[table.name]
+            if table.fk is not None:
+                up = offsets[table.parent]
+                params = ([row[ID] + shift, row[FK] + up, *row[POS:]] for row in batch)
+            else:
+                params = ([row[ID] + shift, *row[ID + 1:]] for row in batch)
             names = table.column_names()
-            id_at = names.index("id")
-            fk_at = names.index(table.fk) if table.fk else None
-            params = []
-            for row in batch:
-                values = [row.get(n) for n in names]
-                values[id_at] = row["id"] + offsets[table.name]
-                if table.fk in row:
-                    values[fk_at] = row[table.fk] + offsets[table.parent]
-                params.append(values)
             store.conn.executemany(
                 f"INSERT INTO {table.name} ({', '.join(names)}) "
                 f"VALUES ({', '.join('?' for _ in names)})", params)
@@ -315,18 +303,16 @@ class _Exporter:
         parents = self.ids.get(table.parent)
         if parents is None:
             parents = self.ids[table.parent] = {
-                row["id"] for rows in self.children[table.parent].values()
+                row[ID] for rows in self.children[table.parent].values()
                 for row in rows}
-        names = table.column_names()
         # the id range only prunes: other documents' rows may fall inside
         # it, so only groups under a parent row of this document are kept
         cur = self.store.conn.execute(
-            f"SELECT {', '.join(names)} FROM {table_name} "
+            f"SELECT {', '.join(table.column_names())} FROM {table_name} "
             f"WHERE {table.fk} BETWEEN ? AND ? ORDER BY {table.fk}, pos",
             (min(parents), max(parents)))
-        fk_of = itemgetter(names.index(table.fk))
-        return {parent: [dict(zip(names, values)) for values in group]
-                for parent, group in groupby(cur, fk_of) if parent in parents}
+        return {parent: list(group)
+                for parent, group in groupby(cur, itemgetter(FK)) if parent in parents}
 
     def element(self, table, row) -> ET.Element:
         node = ET.Element(table.element)
@@ -349,10 +335,10 @@ class _Exporter:
         if isinstance(layout, TableRef):
             table = self.rschema.table(layout.table)
             return [self.element(table, child)
-                    for child in self.select(layout.table, row["id"])]
+                    for child in self.select(layout.table, row[ID])]
         if isinstance(layout, GroupTable):
             out = []
-            for child in self.select(layout.table, row["id"]):
+            for child in self.select(layout.table, row[ID]):
                 out.extend(self.walk(layout.inner, layout.table, child))
             return out
         if isinstance(layout, Seq):
@@ -365,8 +351,9 @@ class _Exporter:
             if token is None:
                 return []
             if token not in layout.tokens:
+                column = self.rschema.table(table_name).columns[layout.column]
                 raise IntegrityViolation(
-                    f"{table_name}.{layout.column} holds {token!r}, which "
+                    f"{table_name}.{column.name} holds {token!r}, which "
                     f"names no alternative of the choice")
             return self.walk(layout.alternatives[layout.tokens.index(token)],
                              table_name, row)
@@ -378,13 +365,12 @@ def export(store: OdsStore, object_id: int, schema: DtdSchema,
            rschema: RelationalSchema, system_id: str = DEFAULT_SYSTEM_ID) -> str:
     """Rebuild one loaded document and render it canonically."""
     root_table = rschema.table(rschema.root_table)
-    names = root_table.column_names()
     cur = store.conn.execute(
-        f"SELECT {', '.join(names)} FROM {rschema.root_table} WHERE id = ?",
+        f"SELECT {', '.join(root_table.column_names())} FROM {rschema.root_table} "
+        f"WHERE id = ?",
         (object_id,))
-    found = cur.fetchone()
-    if found is None:
+    row = cur.fetchone()
+    if row is None:
         raise UnknownId(rschema.root_table, object_id)
-    row = dict(zip(names, found))
     tree = _Exporter(store, object_id).element(root_table, row)
     return format_document(tree, system_id)

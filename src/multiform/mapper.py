@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dtd import Choice, DtdSchema, ElementRef, PCData, Repeat, render_model
-from .errors import NameCollision
+from .errors import DtdError, NameCollision
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,14 @@ class Table:
 @dataclass(frozen=True)
 class TextCol:
     """Text content of a leaf element, held on its own table's row."""
-    column: str
+    column: int
 
 
 @dataclass(frozen=True)
 class LeafCol:
     """Leaf element occurring at most once: a column on the current row."""
     element: str
-    column: str
+    column: int
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class Seq:
 @dataclass(frozen=True)
 class Alt:
     """Choice: the discriminator column holds the chosen alternative's token."""
-    column: str
+    column: int
     tokens: tuple
     alternatives: tuple
 
@@ -108,6 +108,15 @@ def _alt_token(model) -> str:
     return render_model(model)
 
 
+# Positions of the leading columns in every row: the id, then, on a table
+# that link() ties to a parent, the parent's id and the sibling position.
+ID, FK, POS = 0, 1, 2
+
+# Deepest nesting of model nodes and element tables: mapping, shred and export
+# recurse about two frames a level, and a model may nest two nodes a group.
+MAX_NESTING = 264
+
+
 class _Builder:
     def __init__(self, schema: DtdSchema):
         self.schema = schema
@@ -125,12 +134,14 @@ class _Builder:
         self.by_name[name] = table
         return table
 
-    def add_column(self, table: Table, name, affinity, origin):
+    def add_column(self, table: Table, name, affinity, origin) -> int:
+        """Append a column; returns its position in the table's rows."""
         for col in table.columns:
             if col.name == name:
                 raise NameCollision("column", f"{table.name}.{name}",
                                     col.origin, origin)
         table.columns.append(Column(name, affinity, origin))
+        return len(table.columns) - 1
 
     def link(self, table: Table, parent: Table):
         table.parent = parent.name
@@ -138,7 +149,7 @@ class _Builder:
         self.add_column(table, table.fk, "integer", f"link to {parent.name}")
         self.add_column(table, "pos", "integer", "sibling order")
 
-    def element_table(self, name, parent: Table | None, single: bool) -> Table:
+    def element_table(self, name, parent: Table | None, single: bool, depth) -> Table:
         model = self.schema.elements[name]
         leaf = isinstance(model, PCData)
         # below the root, a leaf gets a table only when it repeats
@@ -149,10 +160,10 @@ class _Builder:
         if parent is not None:
             self.link(table, parent)
         if leaf:
-            self.add_column(table, "value", "text", f"text of {name}")
-            table.layout = TextCol("value")
+            table.layout = TextCol(
+                self.add_column(table, "value", "text", f"text of {name}"))
         else:
-            table.layout = self.compile(model, table)
+            table.layout = self.compile(model, table, depth + 1)
         return table
 
     def group_table(self, parent: Table) -> Table:
@@ -164,41 +175,43 @@ class _Builder:
         self.link(table, parent)
         return table
 
-    def compile(self, model, table: Table):
+    def compile(self, model, table: Table, depth):
         """Lay the model out on `table`, creating child tables as needed."""
+        if depth > MAX_NESTING:
+            raise DtdError(f"elements and groups nest more than {MAX_NESTING} "
+                           f"levels deep below {self.schema.root}")
         if isinstance(model, ElementRef):
-            return self.place(model.name, table, single=True)
+            return self.place(model.name, table, depth + 1, single=True)
         if isinstance(model, Choice):
             k = self.choice_count.get(table.name, 0) + 1
             self.choice_count[table.name] = k
-            column = f"choice{k}"
-            self.add_column(table, column, "text", f"choice {k} discriminator")
-            alts = tuple(self.compile(a, table) for a in model.alternatives)
+            column = self.add_column(table, f"choice{k}", "text",
+                                     f"choice {k} discriminator")
+            alts = tuple(self.compile(a, table, depth + 1) for a in model.alternatives)
             tokens = tuple(_alt_token(a) for a in model.alternatives)
             return Alt(column, tokens, alts)
         if isinstance(model, Repeat):
             if model.mult == "?":
-                return Rep(self.compile(model.inner, table))
+                return Rep(self.compile(model.inner, table, depth + 1))
             if isinstance(model.inner, ElementRef):
-                return Rep(self.place(model.inner.name, table, single=False))
+                return Rep(self.place(model.inner.name, table, depth + 1, single=False))
             group = self.group_table(table)
-            return Rep(GroupTable(group.name, self.compile(model.inner, group)))
+            return Rep(GroupTable(group.name, self.compile(model.inner, group, depth + 1)))
         # Sequence; PCData cannot appear inside element content
-        return Seq(tuple(self.compile(p, table) for p in model.parts))
+        return Seq(tuple(self.compile(p, table, depth + 1) for p in model.parts))
 
-    def place(self, name, table: Table, single: bool):
+    def place(self, name, table: Table, depth, single: bool):
         """A reference to element `name` occurring on rows of `table`."""
         if single and self.schema.is_leaf(name):
-            column = name.lower()
-            self.add_column(table, column, "text", f"leaf {name}")
-            return LeafCol(name, column)
-        return TableRef(self.element_table(name, table, single).name)
+            return LeafCol(name, self.add_column(table, name.lower(), "text",
+                                                 f"leaf {name}"))
+        return TableRef(self.element_table(name, table, single, depth).name)
 
 
 def map_schema(schema: DtdSchema) -> RelationalSchema:
     """Compile the DTD into tables, depth-first from the root element."""
     builder = _Builder(schema)
-    builder.element_table(schema.root, None, single=False)
+    builder.element_table(schema.root, None, False, 0)
     return RelationalSchema(tables=tuple(builder.tables),
                             by_name=builder.by_name,
                             root_element=schema.root,

@@ -241,6 +241,21 @@ def test_a_dtd_nested_2000_groups_deep_is_an_input_error(workdir, capsys, model)
             "deep, found '('")
 
 
+def test_a_dtd_chaining_400_elements_is_an_input_error(workdir, capsys):
+    n = 400
+    put(workdir, "chain.dtd", "".join(
+        f"<!ELEMENT E{k} (E{k + 1}, X{k}?)>\n<!ELEMENT X{k} (#PCDATA)>\n"
+        for k in range(n)) + f"<!ELEMENT E{n} (#PCDATA)>\n")
+    put(workdir, "chain.xml", "".join(f"<E{k}>" for k in range(n))
+        + f"<E{n}>x</E{n}>" + "".join(f"</E{k}>" for k in reversed(range(n))))
+    assert main(["validate", "chain.xml", "--dtd", "chain.dtd"]) == 0
+    for argv in (["schema"], ["load", "chain.xml", "--sql-out", "out.sql"]):
+        assert main([*argv, "--dtd", "chain.dtd"]) == 2
+        assert one_line_error(capsys) == (
+            "multiform: error: elements and groups nest more than 264 levels "
+            "deep below E0")
+
+
 def test_ingest_with_a_sidecar_that_is_not_utf8(workdir, capsys):
     put(workdir, "story.txt", "once\n")
     put(workdir, "bad.meta", b"keyword: \xff\n")

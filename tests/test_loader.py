@@ -10,15 +10,22 @@ import pytest
 
 import multiform
 from docgen import generate_document
-from multiform.dtd import PCData, ValidationReport, parse_dtd, validate
+from multiform.dtd import (
+    MAX_GROUP_DEPTH,
+    PCData,
+    ValidationReport,
+    parse_dtd,
+    validate,
+)
 from multiform.errors import (
+    DtdError,
     IntegrityViolation,
     NotValidated,
     SchemaMismatch,
     UnknownId,
 )
 from multiform.loader import OdsStore, RowSet, export, load, shred
-from multiform.mapper import map_schema
+from multiform.mapper import FK, ID, map_schema
 from multiform.model import (
     Attribute,
     Cell,
@@ -61,8 +68,9 @@ def shredded(text, schema, rschema):
     return shred(document, schema, rschema, report)
 
 
-def rows_for(rows, table):
-    return [row for name, row in rows.inserts if name == table]
+def rows_for(rows, rschema, table):
+    names = rschema.table(table).column_names()
+    return [dict(zip(names, row)) for row in rows.tables.get(table, ())]
 
 
 # -- shredding ---------------------------------------------------------------------
@@ -101,18 +109,18 @@ def test_image_document_row_layout(schema, rschema):
     rows = shredded(image_doc(schema), schema, rschema)
     assert rows.counts() == {
         "complex_object": 1, "subdocument": 1, "keyword": 3, "image": 1}
-    (root,) = rows_for(rows, "complex_object")
+    (root,) = rows_for(rows, rschema, "complex_object")
     assert root["obj_name"] == "Surf" and root["date"] == "2002-06-15"
-    (sub,) = rows_for(rows, "subdocument")
+    (sub,) = rows_for(rows, rschema, "subdocument")
     assert sub["complex_object_id"] == root["id"]
     assert sub["pos"] == 1
     assert sub["choice1"] == "IMAGE"
-    assert "language" not in sub  # absent optional leaf loads as NULL
-    keywords = rows_for(rows, "keyword")
+    assert sub["language"] is None  # absent optional leaf loads as NULL
+    keywords = rows_for(rows, rschema, "keyword")
     assert [(k["pos"], k["value"]) for k in keywords] == \
         [(1, "surf"), (2, "black and white"), (3, "wave")]
     assert {k["subdocument_id"] for k in keywords} == {sub["id"]}
-    (img,) = rows_for(rows, "image")
+    (img,) = rows_for(rows, rschema, "image")
     assert (img["width"], img["length"], img["format"]) == ("344", "219", "Gif")
     assert img["compression"] == "" and img["resolution"] == ""
 
@@ -122,12 +130,12 @@ def test_view_document_row_layout(schema, rschema):
     assert rows.counts() == {
         "complex_object": 1, "subdocument": 1, "relational_view": 1,
         "attribute": 2, "tuple": 2, "tuple_g1": 4}
-    atts = rows_for(rows, "attribute")
+    atts = rows_for(rows, rschema, "attribute")
     assert [(a["pos"], a["att_name"], a["domain"]) for a in atts] == \
         [(1, "name", "string"), (2, "age", "integer")]
-    tuples = rows_for(rows, "tuple")
+    tuples = rows_for(rows, rschema, "tuple")
     assert [t["pos"] for t in tuples] == [1, 2]
-    cells = rows_for(rows, "tuple_g1")
+    cells = rows_for(rows, rschema, "tuple_g1")
     assert [(c["tuple_id"], c["pos"], c["att_name_ref"], c["value"])
             for c in cells] == [
         (tuples[0]["id"], 1, "name", "Ada"),
@@ -138,19 +146,19 @@ def test_view_document_row_layout(schema, rschema):
 
 
 def test_absent_and_empty_leaves_shred_differently(schema, rschema):
-    absent = rows_for(shredded(view_doc(schema), schema, rschema),
+    absent = rows_for(shredded(view_doc(schema), schema, rschema), rschema,
                       "relational_view")[0]
     empty = rows_for(shredded(view_doc(schema, query=""), schema, rschema),
-                     "relational_view")[0]
-    assert "query" not in absent
+                     rschema, "relational_view")[0]
+    assert absent["query"] is None
     assert empty["query"] == ""
 
 
 def test_ids_start_at_one_per_table(schema, rschema):
     rows = shredded(image_doc(schema), schema, rschema)
-    assert rows_for(rows, "complex_object")[0]["id"] == 1
-    assert rows_for(rows, "subdocument")[0]["id"] == 1
-    assert [k["id"] for k in rows_for(rows, "keyword")] == [1, 2, 3]
+    assert rows_for(rows, rschema, "complex_object")[0]["id"] == 1
+    assert rows_for(rows, rschema, "subdocument")[0]["id"] == 1
+    assert [k["id"] for k in rows_for(rows, rschema, "keyword")] == [1, 2, 3]
 
 
 # -- the store ----------------------------------------------------------------------
@@ -229,8 +237,7 @@ def test_second_load_offsets_identifiers(schema, rschema):
 
 
 def test_unknown_table_is_rejected_before_writing(rschema):
-    rows = RowSet()
-    rows.add("nonesuch")["id"] = 1
+    rows = RowSet({"nonesuch": [[1]]})
     with OdsStore(rschema) as store:
         with pytest.raises(SchemaMismatch):
             load(rows, store)
@@ -238,20 +245,29 @@ def test_unknown_table_is_rejected_before_writing(rschema):
 
 
 def test_unknown_column_is_rejected_before_writing(rschema):
-    rows = RowSet()
-    row = rows.add("complex_object")
-    row.update(id=1, obj_name="x", date="d", source="s", bogus="y")
+    # rows of complex_object (id, obj_name, date, source) and of subdocument
+    # (id, complex_object_id, pos, doc_name, type, size, location, language,
+    # choice1); the valid pair below loads
+    root = [1, "x", "d", "s"]
+    sub = [1, 1, 1, "d", "Text", "1", "l", None, "TEXT"]
+    for tables in (
+        {"complex_object": [root + ["y"]]},         # a value with no column
+        {"complex_object": [root[:3]]},             # a column with no value
+        {"complex_object": [[None, *root[1:]]]},    # an id that is no integer
+        {"complex_object": [root], "subdocument": [[1, "1", *sub[2:]]]},
+    ):
+        with OdsStore(rschema) as store:
+            with pytest.raises(SchemaMismatch):
+                load(RowSet(tables), store)
+            assert store.max_id("complex_object") == 0
     with OdsStore(rschema) as store:
-        with pytest.raises(SchemaMismatch):
-            load(rows, store)
-        assert store.max_id("complex_object") == 0
+        assert load(RowSet({"complex_object": [root], "subdocument": [sub]}),
+                    store).total == 2
 
 
 def test_dangling_reference_rolls_the_whole_load_back(schema, rschema):
-    bad = RowSet()
-    row = bad.add("subdocument")
-    row.update(id=1, complex_object_id=99, pos=1, doc_name="d", size="1",
-               location="l", type="Text", choice1="TEXT", language=None)
+    # id, complex_object_id, pos, doc_name, type, size, location, language, choice1
+    bad = RowSet({"subdocument": [[1, 99, 1, "d", "Text", "1", "l", None, "TEXT"]]})
     with OdsStore(rschema) as store:
         load(shredded(image_doc(schema), schema, rschema), store)
         with pytest.raises(IntegrityViolation):
@@ -264,7 +280,7 @@ def test_dangling_reference_rolls_the_whole_load_back(schema, rschema):
 def test_a_failing_late_batch_leaves_the_store_as_it_was(schema, rschema):
     # tuple_g1 goes in after the view's earlier tables have been inserted
     rows = shredded(view_doc(schema), schema, rschema)
-    rows_for(rows, "tuple_g1")[-1]["tuple_id"] = 99
+    rows.tables["tuple_g1"][-1][FK] = 99  # tuple_id
     with OdsStore(rschema) as store:
         load(shredded(image_doc(schema), schema, rschema), store)
         before = store.to_script()
@@ -275,9 +291,8 @@ def test_a_failing_late_batch_leaves_the_store_as_it_was(schema, rschema):
 
 def test_two_rows_of_a_singular_child_are_rejected(schema, rschema):
     rows = shredded(image_doc(schema), schema, rschema)
-    extra = rows.add("image")
-    extra.update(rows_for(rows, "image")[0])
-    extra["id"] = 2
+    images = rows.tables["image"]
+    images.append([2, *images[0][ID + 1:]])
     with OdsStore(rschema) as store:
         with pytest.raises(IntegrityViolation) as err:
             load(rows, store)
@@ -339,8 +354,10 @@ def test_export_rejects_an_unknown_discriminator(schema, rschema):
     with OdsStore(rschema) as store:
         load(shredded(image_doc(schema), schema, rschema), store)
         store.conn.execute("UPDATE subdocument SET choice1 = 'BOGUS'")
-        with pytest.raises(IntegrityViolation):
+        with pytest.raises(IntegrityViolation) as err:
             export(store, 1, schema, rschema)
+    assert "subdocument.choice1" in str(err.value)
+    assert "'BOGUS'" in str(err.value)
 
 
 def test_export_honours_the_system_id(schema, rschema):
@@ -471,10 +488,11 @@ def test_element_conservation_over_generated_documents(schema, rschema):
         document = generate_document(schema, rng)
         report = validate(document, schema)
         rows = shred(document, schema, rschema, report)
-        element_rows = sum(1 for name, _ in rows.inserts
+        element_rows = sum(len(table_rows) for name, table_rows in rows.tables.items()
                            if rschema.table(name).element is not None)
-        filled = sum(1 for name, row in rows.inserts
-                     for col, v in row.items()
+        filled = sum(1 for name, table_rows in rows.tables.items()
+                     for row in table_rows
+                     for col, v in zip(rschema.table(name).column_names(), row)
                      if v is not None and col not in skip[name])
         total = sum(1 for _ in document.iter())
         assert element_rows + filled == total
@@ -527,6 +545,64 @@ def test_round_trip_identity_on_a_second_schema(data_dir, name):
             load(shred(document, schema, rschema, report), store)
             assert export(store, i + 1, schema, rschema,
                           system_id=system_id) == text
+
+
+def chain_dtd(n, model):
+    return "".join(f"<!ELEMENT E{k} {model.format(k=k, next=k + 1)}>\n"
+                   f"<!ELEMENT X{k} (#PCDATA)>\n" for k in range(n)) + \
+        f"<!ELEMENT E{n} (#PCDATA)>\n"
+
+
+def chain_doc(n):
+    return "".join(f"<E{k}>" for k in range(n)) + f"<E{n}>x</E{n}>" + \
+        "".join(f"</E{k}>" for k in reversed(range(n)))
+
+
+def nested_choices(n):
+    model = f"(A{n - 1} | A{n})"
+    for k in reversed(range(n - 1)):
+        model = f"(A{k} | {model}?)"
+    return f"<!ELEMENT R {model}>\n" + "".join(
+        f"<!ELEMENT A{k} (#PCDATA)>\n" for k in range(n + 1))
+
+
+# The deepest schema of each shape that maps, with a document, and the
+# schema one level deeper, which does not (None where the parser's group
+# cap comes first).
+AT_THE_CAP = {
+    "element-chain": (chain_dtd(88, "(E{next}, X{k}?)"), chain_doc(88),
+                      chain_dtd(89, "(E{next}, X{k}?)")),
+    "repeated-element-chain": (chain_dtd(132, "(E{next}*)"), chain_doc(132),
+                               chain_dtd(133, "(E{next}*)")),
+    "nested-optional-choices": (nested_choices(MAX_GROUP_DEPTH),
+                                f"<R><A{MAX_GROUP_DEPTH}>x</A{MAX_GROUP_DEPTH}></R>",
+                                None),
+    "nested-repeats": ("<!ELEMENT R " + "(" * MAX_GROUP_DEPTH + "B"
+                       + ")*" * MAX_GROUP_DEPTH + ">\n<!ELEMENT B (#PCDATA)>",
+                       "<R><B>x</B></R>", None),
+}
+
+
+@pytest.mark.parametrize("shape", AT_THE_CAP)
+def test_a_schema_at_the_nesting_cap_round_trips_deep_in_the_stack(shape):
+    dtd, text, deeper = AT_THE_CAP[shape]
+    if deeper is not None:
+        with pytest.raises(DtdError):
+            map_schema(parse_dtd(deeper))
+
+    def round_trip(frames):  # runs `frames` calls below the test
+        if frames:
+            return round_trip(frames - 1)
+        schema = parse_dtd(dtd)
+        rschema = map_schema(schema)
+        document = parse_document(text).root
+        expected = format_document(document)
+        with OdsStore(rschema) as store:
+            load(shred(document, schema, rschema, validate(document, schema)),
+                 store)
+            return export(store, 1, schema, rschema) == expected
+
+    assert round_trip(300)
 
 
 # Loads DOCS generated documents into the store at argv[1] once it reads a
