@@ -22,7 +22,7 @@ from .loader import OdsStore, export, load, shred
 from .mapper import emit_ddl, map_schema
 from .model import make_complex_object
 from .sidecar import EMPTY, load_sidecar, override
-from .xmldoc import parse_document, serialize
+from .xmldoc import DEFAULT_SYSTEM_ID, parse_document, serialize
 
 
 class _UsageError(Exception):
@@ -177,8 +177,9 @@ def cmd_export(args) -> int:
     _require(args.db, "store")
     schema = _schema_for(args)
     rschema = map_schema(schema)
+    system_id = DEFAULT_SYSTEM_ID if args.dtd is None else os.path.basename(args.dtd)
     with OdsStore(rschema, args.db) as store:
-        text = export(store, args.id, schema, rschema)
+        text = export(store, args.id, schema, rschema, system_id)
     _write(args.out, text)
     return 0
 

@@ -9,8 +9,8 @@ children in lockstep. A leaf with a table of its own (the root, or a
 repeated leaf) fills that row's `value` column.
 load applies a RowSet to a store atomically, offsetting ids so documents
 accumulate; it inserts one batch per table, parents before children.
-export inverts the layout walk and hands the rebuilt tree to the canonical
-formatter, which is what makes round-trip checks byte-exact. It reads each
+export inverts the layout walk and writes each element's canonical line
+as it goes, which is what makes round-trip checks byte-exact. It reads each
 table the walk reaches with one query per document, then serves every
 parent row its children, in `pos` order, from the tuples SQLite returns.
 """
@@ -21,8 +21,6 @@ import sqlite3
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-
-import xml.etree.ElementTree as ET
 
 from .dtd import DtdSchema
 from .errors import IntegrityViolation, NotValidated, SchemaMismatch, UnknownId
@@ -40,7 +38,7 @@ from .mapper import (
     TextCol,
     emit_ddl,
 )
-from .xmldoc import DEFAULT_SYSTEM_ID, format_document
+from .xmldoc import DEFAULT_SYSTEM_ID, Lines
 
 
 @dataclass
@@ -106,7 +104,7 @@ class _Shredder:
                 self.walk(layout.inner, iteration, children, ctx)
 
 
-def shred(document: ET.Element, schema: DtdSchema, rschema: RelationalSchema,
+def shred(document, schema: DtdSchema, rschema: RelationalSchema,
           report) -> RowSet:
     """Turn a validated element tree into rows.
 
@@ -231,6 +229,7 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
         if table is None:
             raise SchemaMismatch(f"RowSet names unknown table {name!r}")
         parents = set()
+        last_parent = len(rows.tables.get(table.parent, ()))
         for row in batch:
             if len(row) != len(table.columns):
                 raise SchemaMismatch(f"a row of {name} holds {len(row)} values, "
@@ -238,6 +237,9 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
             if not isinstance(row[ID], int) or (
                     table.fk is not None and not isinstance(row[FK], int)):
                 raise SchemaMismatch(f"a row of {name} has an id that is not an integer")
+            if table.fk is not None and not 0 < row[FK] <= last_parent:
+                raise IntegrityViolation(f"a row of {name} names parent id {row[FK]}, "
+                                         f"not a row of {table.parent} in this RowSet")
             if table.single_per_parent:
                 if row[FK] in parents:
                     raise IntegrityViolation(
@@ -282,14 +284,16 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
 
 
 class _Exporter:
-    """One document's rebuild. Each table is read once, when the layout walk
-    first reaches it, and its rows are kept grouped by parent id."""
+    """One document's rebuild, written as canonical lines. Each table is
+    read once, when the layout walk first reaches it, and its rows are kept
+    grouped by parent id."""
 
     def __init__(self, store, object_id):
         self.store = store
         self.rschema = store.rschema
         self.children = {}   # table -> {parent id: [rows in pos order]}
         self.ids = {self.rschema.root_table: {object_id}}   # table -> row ids
+        self.out = Lines()
 
     def select(self, table_name, fk_value):
         by_parent = self.children.get(table_name)
@@ -314,51 +318,43 @@ class _Exporter:
         return {parent: list(group)
                 for parent, group in groupby(cur, itemgetter(FK)) if parent in parents}
 
-    def element(self, table, row) -> ET.Element:
-        node = ET.Element(table.element)
+    def element(self, table, row) -> None:
         layout = table.layout
         if isinstance(layout, TextCol):
-            node.text = row[layout.column] or ""
+            self.out.leaf(table.element, row[layout.column])
         else:
-            node.extend(self.walk(layout, table.name, row))
-        return node
+            with self.out.element(table.element):
+                self.walk(layout, table.name, row)
 
-    def walk(self, layout, table_name, row) -> list:
-        """Children encoded by `layout` on this row, in document order."""
+    def walk(self, layout, table_name, row) -> None:
+        """Write the children `layout` encodes on this row, in document order."""
         if isinstance(layout, LeafCol):
             value = row[layout.column]
-            if value is None:
-                return []
-            node = ET.Element(layout.element)
-            node.text = value
-            return [node]
-        if isinstance(layout, TableRef):
+            if value is not None:
+                self.out.leaf(layout.element, value)
+        elif isinstance(layout, TableRef):
             table = self.rschema.table(layout.table)
-            return [self.element(table, child)
-                    for child in self.select(layout.table, row[ID])]
-        if isinstance(layout, GroupTable):
-            out = []
             for child in self.select(layout.table, row[ID]):
-                out.extend(self.walk(layout.inner, layout.table, child))
-            return out
-        if isinstance(layout, Seq):
-            out = []
+                self.element(table, child)
+        elif isinstance(layout, GroupTable):
+            for child in self.select(layout.table, row[ID]):
+                self.walk(layout.inner, layout.table, child)
+        elif isinstance(layout, Seq):
             for part in layout.parts:
-                out.extend(self.walk(part, table_name, row))
-            return out
-        if isinstance(layout, Alt):
+                self.walk(part, table_name, row)
+        elif isinstance(layout, Alt):
             token = row[layout.column]
             if token is None:
-                return []
+                return
             if token not in layout.tokens:
                 column = self.rschema.table(table_name).columns[layout.column]
                 raise IntegrityViolation(
                     f"{table_name}.{column.name} holds {token!r}, which "
                     f"names no alternative of the choice")
-            return self.walk(layout.alternatives[layout.tokens.index(token)],
-                             table_name, row)
-        # Rep: cardinality is carried by the row sets selected above
-        return self.walk(layout.inner, table_name, row)
+            self.walk(layout.alternatives[layout.tokens.index(token)],
+                      table_name, row)
+        else:  # Rep: cardinality is carried by the row sets selected above
+            self.walk(layout.inner, table_name, row)
 
 
 def export(store: OdsStore, object_id: int, schema: DtdSchema,
@@ -372,5 +368,6 @@ def export(store: OdsStore, object_id: int, schema: DtdSchema,
     row = cur.fetchone()
     if row is None:
         raise UnknownId(rschema.root_table, object_id)
-    tree = _Exporter(store, object_id).element(root_table, row)
-    return format_document(tree, system_id)
+    exporter = _Exporter(store, object_id)
+    exporter.element(root_table, row)
+    return exporter.out.document(root_table.element, system_id)

@@ -1,12 +1,13 @@
 """XML documents for complex objects: emit, parse, rebuild.
 
-Emitting walks the object once and appends each element's children in the
+Emitting walks the object once and appends each element's line, in the
 order mlfd.dtd declares them; the object model mirrors that DTD, so no
-content model is consulted.
+content model is consulted and no element tree is built.
 
-The canonical form is fixed so that equal trees give byte-identical text:
-a standard prolog, a DOCTYPE naming the root, two-space indentation, one
-element per line with leaf content inline, LF line endings, ``& < >``
+The canonical form, written by `Lines` alone, is fixed so that equal trees
+give byte-identical text: a standard prolog, a DOCTYPE naming the root,
+two-space indentation, one element per line with leaf content inline,
+`<T/>` for an element with no text or children, LF line endings, ``& < >``
 escaped, and CR written as ``&#13;``. Documents carry no attributes,
 namespaces, processing instructions or comments.
 """
@@ -39,102 +40,107 @@ def xml_escape(text: str) -> str:
 # -- canonical formatting ------------------------------------------------------
 
 
+class Lines:
+    """A canonical document's lines, indented by the elements open around
+    them. ``with lines.element(tag):`` wraps its block's lines in `tag`."""
+
+    def __init__(self):
+        self.lines = []
+        self.pad = ""
+        self.opened = []   # (tag, line count after its open line, pad) per open element
+
+    def leaf(self, tag: str, text: str | None) -> None:
+        """`<T>text</T>`, or `<T/>` when the text is empty or None."""
+        self.lines.append(f"{self.pad}<{tag}>{xml_escape(text)}</{tag}>" if text
+                          else f"{self.pad}<{tag}/>")
+
+    def element(self, tag: str) -> Lines:
+        self.lines.append(f"{self.pad}<{tag}>")
+        self.opened.append((tag, len(self.lines), self.pad))
+        self.pad += "  "
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        """Close the innermost element; with no line inside, it is `<T/>`."""
+        tag, mark, self.pad = self.opened.pop()
+        if len(self.lines) == mark:
+            self.lines[-1] = f"{self.pad}<{tag}/>"
+        else:
+            self.lines.append(f"{self.pad}</{tag}>")
+
+    def document(self, root_tag: str, system_id: str) -> str:
+        """The prolog, the DOCTYPE and the lines, each ending on LF."""
+        return (f'<?xml version="1.0" encoding="UTF-8"?>\n'
+                f'<!DOCTYPE {root_tag} SYSTEM "{system_id}">\n'
+                + "\n".join(self.lines) + "\n")
+
+
 def format_document(root: ET.Element, system_id: str = DEFAULT_SYSTEM_ID) -> str:
     """Render an element tree in the canonical form."""
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<!DOCTYPE {root.tag} SYSTEM "{system_id}">',
-    ]
+    out = Lines()
 
-    def walk(element, depth):
-        pad = "  " * depth
+    def walk(element):
         if len(element) == 0:
-            text = element.text or ""
-            if text:
-                lines.append(f"{pad}<{element.tag}>{xml_escape(text)}</{element.tag}>")
-            else:
-                lines.append(f"{pad}<{element.tag}/>")
+            out.leaf(element.tag, element.text)
         else:
-            lines.append(f"{pad}<{element.tag}>")
-            for child in element:
-                walk(child, depth + 1)
-            lines.append(f"{pad}</{element.tag}>")
+            with out.element(element.tag):
+                for child in element:
+                    walk(child)
 
-    walk(root, 0)
-    return "\n".join(lines) + "\n"
-
-
-# -- object -> element tree ------------------------------------------------------
-#
-# The object model mirrors mlfd.dtd field for field, so children are appended
-# in the order the DTD declares them. An unset image scalar is written as an
-# empty element; an unset LANGUAGE or QUERY, both optional, is left out.
+    walk(root)
+    return out.document(root.tag, system_id)
 
 
-def _payload_into(sub: ET.Element, payload) -> None:
-    if isinstance(payload, m.TextPayload):
-        text = ET.SubElement(sub, "TEXT")
-        ET.SubElement(text, "NB_CHAR").text = str(payload.nb_char)
-        ET.SubElement(text, "NB_LINES").text = str(payload.nb_lines)
-        body = payload.body
-        if isinstance(body, m.PlainText):
-            ET.SubElement(text, "PLAIN_TEXT").text = body.content
-        else:
-            tagged = ET.SubElement(text, "TAGGED_TEXT")
-            ET.SubElement(tagged, "CONTENT").text = body.content
-            for link in body.links:
-                ET.SubElement(tagged, "LINK").text = link
-    elif isinstance(payload, m.RelationalView):
-        view = ET.SubElement(sub, "RELATIONAL_VIEW")
-        if payload.query is not None:
-            ET.SubElement(view, "QUERY").text = payload.query
-        for a in payload.attributes:
-            attribute = ET.SubElement(view, "ATTRIBUTE")
-            ET.SubElement(attribute, "ATT_NAME").text = a.att_name
-            ET.SubElement(attribute, "DOMAIN").text = a.domain
-        for t in payload.tuples:
-            row = ET.SubElement(view, "TUPLE")
-            for c in t.cells:
-                ET.SubElement(row, "ATT_NAME_REF").text = c.att_name_ref
-                ET.SubElement(row, "VALUE").text = c.value
-    elif isinstance(payload, m.ImageMeta):
-        image = ET.SubElement(sub, "IMAGE")
-        ET.SubElement(image, "COMPRESSION").text = payload.compression
-        ET.SubElement(image, "FORMAT").text = payload.format
-        ET.SubElement(image, "RESOLUTION").text = payload.resolution
-        ET.SubElement(image, "LENGTH").text = str(payload.length)
-        ET.SubElement(image, "WIDTH").text = str(payload.width)
-    elif isinstance(payload, m.ContinuousMeta):
-        continuous = ET.SubElement(sub, "CONTINUOUS")
-        ET.SubElement(continuous, "DURATION").text = payload.duration
-        ET.SubElement(continuous, "SPEED").text = payload.speed
-        tag = "SOUND" if isinstance(payload.media, m.Sound) else "VIDEO"
-        ET.SubElement(continuous, tag).text = payload.media.ref
-    else:
-        raise ModelViolation(f"unknown payload variant {type(payload).__name__}")
-
-
-def _object_tree(obj: m.ComplexObject) -> ET.Element:
-    root = ET.Element("COMPLEX_OBJECT")
-    ET.SubElement(root, "OBJ_NAME").text = obj.obj_name
-    ET.SubElement(root, "DATE").text = obj.date.isoformat()
-    ET.SubElement(root, "SOURCE").text = obj.source
-    for subdoc in obj.subdocuments:
-        sub = ET.SubElement(root, "SUBDOCUMENT")
-        ET.SubElement(sub, "DOC_NAME").text = subdoc.doc_name
-        ET.SubElement(sub, "TYPE").text = subdoc.type
-        ET.SubElement(sub, "SIZE").text = str(subdoc.size)
-        ET.SubElement(sub, "LOCATION").text = subdoc.location
-        if subdoc.language is not None:
-            ET.SubElement(sub, "LANGUAGE").text = subdoc.language
-        for kw in subdoc.keywords:
-            ET.SubElement(sub, "KEYWORD").text = kw
-        _payload_into(sub, subdoc.payload)
-    return root
-
+# -- object -> lines -------------------------------------------------------------
 
 # outside XML 1.0's Char production (section 2.2): no escape can write these
 _NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _payload_lines(out: Lines, payload) -> None:
+    if isinstance(payload, m.TextPayload):
+        with out.element("TEXT"):
+            out.leaf("NB_CHAR", str(payload.nb_char))
+            out.leaf("NB_LINES", str(payload.nb_lines))
+            body = payload.body
+            if isinstance(body, m.PlainText):
+                out.leaf("PLAIN_TEXT", body.content)
+            else:
+                with out.element("TAGGED_TEXT"):
+                    out.leaf("CONTENT", body.content)
+                    for link in body.links:
+                        out.leaf("LINK", link)
+    elif isinstance(payload, m.RelationalView):
+        with out.element("RELATIONAL_VIEW"):
+            if payload.query is not None:
+                out.leaf("QUERY", payload.query)
+            for a in payload.attributes:
+                with out.element("ATTRIBUTE"):
+                    out.leaf("ATT_NAME", a.att_name)
+                    out.leaf("DOMAIN", a.domain)
+            for t in payload.tuples:
+                with out.element("TUPLE"):
+                    for c in t.cells:
+                        out.leaf("ATT_NAME_REF", c.att_name_ref)
+                        out.leaf("VALUE", c.value)
+    elif isinstance(payload, m.ImageMeta):
+        with out.element("IMAGE"):
+            out.leaf("COMPRESSION", payload.compression)
+            out.leaf("FORMAT", payload.format)
+            out.leaf("RESOLUTION", payload.resolution)
+            out.leaf("LENGTH", str(payload.length))
+            out.leaf("WIDTH", str(payload.width))
+    elif isinstance(payload, m.ContinuousMeta):
+        with out.element("CONTINUOUS"):
+            out.leaf("DURATION", payload.duration)
+            out.leaf("SPEED", payload.speed)
+            out.leaf("SOUND" if isinstance(payload.media, m.Sound) else "VIDEO",
+                     payload.media.ref)
+    else:
+        raise ModelViolation(f"unknown payload variant {type(payload).__name__}")
 
 
 def serialize(obj: m.ComplexObject, schema: DtdSchema,
@@ -142,21 +148,37 @@ def serialize(obj: m.ComplexObject, schema: DtdSchema,
     """Emit the canonical document for an object.
 
     Children follow the DTD's declared order, taken from the object model,
-    which mirrors the bundled DTD; ``schema`` is that DTD's schema and is
-    not walked. A scalar the object does not carry (for example an image
-    with no recorded format) is emitted as an empty element rather than
-    dropped. A character outside XML 1.0's ``Char`` raises
+    which mirrors the bundled DTD field for field; ``schema`` is that DTD's
+    schema and is not walked. A scalar the object does not carry (for
+    example an image with no recorded format) is emitted as an empty
+    element rather than dropped; an unset LANGUAGE or QUERY, both optional,
+    is left out. A character outside XML 1.0's ``Char`` raises
     UnrepresentableCharacter naming the element that holds it.
     """
-    root = _object_tree(obj)
-    text = format_document(root, system_id)
+    out = Lines()
+    with out.element("COMPLEX_OBJECT"):
+        out.leaf("OBJ_NAME", obj.obj_name)
+        out.leaf("DATE", obj.date.isoformat())
+        out.leaf("SOURCE", obj.source)
+        for subdoc in obj.subdocuments:
+            with out.element("SUBDOCUMENT"):
+                out.leaf("DOC_NAME", subdoc.doc_name)
+                out.leaf("TYPE", subdoc.type)
+                out.leaf("SIZE", str(subdoc.size))
+                out.leaf("LOCATION", subdoc.location)
+                if subdoc.language is not None:
+                    out.leaf("LANGUAGE", subdoc.language)
+                for kw in subdoc.keywords:
+                    out.leaf("KEYWORD", kw)
+                _payload_lines(out, subdoc.payload)
+    text = out.document("COMPLEX_OBJECT", system_id)
     bad = _NOT_XML_CHAR.search(text)
     if bad is not None:
-        for element in root.iter():
-            found = _NOT_XML_CHAR.search(element.text or "")
-            if found is not None:
-                raise UnrepresentableCharacter(element.tag, found.group())
-        raise UnrepresentableCharacter("DOCTYPE", bad.group())
+        # escaped text holds no "<": the last one before the character opens its element
+        start = text.rfind("<", 0, bad.start()) + 1
+        raise UnrepresentableCharacter(
+            "DOCTYPE" if _NOT_XML_CHAR.search(system_id)
+            else text[start:text.index(">", start)], bad.group())
     return text
 
 

@@ -399,6 +399,31 @@ def test_export_from_a_store_with_another_shape(workdir, data_dir, capsys):
     assert main(["export", "--db", "lib.db", "--id", "1"]) == 2  # bundled schema
 
 
+LIBRARY = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<!DOCTYPE LIBRARY SYSTEM "library.dtd">
+<LIBRARY>
+  <NAME>City</NAME>
+  <BOOK>
+    <TITLE>Maps</TITLE>
+    <ISBN>1</ISBN>
+    <AUTHOR>
+      <LAST>Mercator</LAST>
+    </AUTHOR>
+  </BOOK>
+</LIBRARY>
+"""
+
+
+def test_export_names_the_dtd_given_to_it(workdir, data_dir, capsys):
+    put(workdir, "lib.xml", LIBRARY)
+    dtd = str(data_dir / "library.dtd")
+    assert main(["load", "lib.xml", "--dtd", dtd, "--db", "lib.db"]) == 0
+    assert main(["export", "--db", "lib.db", "--id", "1", "--dtd", dtd,
+                 "--out", "back.xml"]) == 0
+    assert (workdir / "back.xml").read_text() == LIBRARY
+
+
 def test_export_from_a_file_that_is_not_a_database(workdir, capsys):
     put(workdir, "junk.db", "this is not a database\n" * 100)
     assert main(["export", "--db", "junk.db", "--id", "1"]) == 2

@@ -278,12 +278,33 @@ def test_dangling_reference_rolls_the_whole_load_back(schema, rschema):
     assert count == 1  # the earlier document alone
 
 
+@pytest.mark.parametrize("parents, parent_id", [
+    (0, 0),     # no parent row here: 0 + offset is the stored document
+    (1, 0),
+    (1, -1),
+    (1, 2),
+])
+def test_a_parent_id_outside_the_rowset_is_rejected(schema, rschema,
+                                                    parents, parent_id):
+    root = [1, "x", "d", "s"]
+    sub = [1, parent_id, 1, "d", "Text", "1", "l", None, "TEXT"]
+    tables = {"complex_object": [root] * parents, "subdocument": [sub]}
+    with OdsStore(rschema) as store:
+        load(shredded(image_doc(schema), schema, rschema), store)
+        before = store.to_script()
+        with pytest.raises(IntegrityViolation) as err:
+            load(RowSet(tables), store)
+        assert store.to_script() == before
+    assert f"parent id {parent_id}" in str(err.value)
+
+
 def test_a_failing_late_batch_leaves_the_store_as_it_was(schema, rschema):
     # tuple_g1 goes in after the view's earlier tables have been inserted
     rows = shredded(view_doc(schema), schema, rschema)
-    rows.tables["tuple_g1"][-1][FK] = 99  # tuple_id
     with OdsStore(rschema) as store:
         load(shredded(image_doc(schema), schema, rschema), store)
+        store.conn.execute("CREATE TRIGGER late BEFORE INSERT ON tuple_g1 "
+                           "BEGIN SELECT RAISE(ABORT, 'late batch'); END")
         before = store.to_script()
         with pytest.raises(IntegrityViolation):
             load(rows, store)
@@ -366,6 +387,51 @@ def test_export_honours_the_system_id(schema, rschema):
         load(shredded(image_doc(schema), schema, rschema), store)
         text = export(store, 1, schema, rschema, system_id="x.dtd")
     assert '<!DOCTYPE COMPLEX_OBJECT SYSTEM "x.dtd">' in text
+
+
+EMPTY_PARTS_DTD = """
+<!ELEMENT R (A*, L*, N?)>
+<!ELEMENT A (B?)>
+<!ELEMENT B (#PCDATA)>
+<!ELEMENT L (#PCDATA)>
+<!ELEMENT N (#PCDATA)>
+"""
+
+EMPTY_PARTS = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<!DOCTYPE R SYSTEM "r.dtd">
+<R>
+  <A/>
+  <A>
+    <B/>
+  </A>
+  <A>
+    <B>b</B>
+  </A>
+  <L/>
+  <L>l</L>
+  <N/>
+</R>
+"""
+
+
+@pytest.mark.parametrize("text", [
+    EMPTY_PARTS,
+    EMPTY_PARTS.replace("<N/>", "<N>n</N>"),
+    "<R></R>",
+])
+def test_export_writes_empty_elements_as_format_document_does(text):
+    # <A/> has no child line; B (a column), L (a repeated leaf, its own
+    # table) and N (a column of the root) hold ""
+    schema = parse_dtd(EMPTY_PARTS_DTD)
+    rschema = map_schema(schema)
+    document = parse_document(text).root
+    with OdsStore(rschema) as store:
+        load(shred(document, schema, rschema, validate(document, schema)), store)
+        exported = export(store, 1, schema, rschema, system_id="r.dtd")
+    assert exported == format_document(document, system_id="r.dtd")
+    if text.startswith("<?xml"):
+        assert exported == text
 
 
 def many_tuples_doc(schema, n):

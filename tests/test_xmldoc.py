@@ -110,6 +110,12 @@ def test_keywords_keep_their_order(schema):
     ("Local", {"language": "\uffff"}, "LANGUAGE"),
     ("Local", {"payload": TextPayload(1, 1, PlainText("\x00"))}, "PLAIN_TEXT"),
     ("Local", {"payload": ImageMeta(1, 1, resolution="\ud800")}, "RESOLUTION"),
+    ("Local", {"payload": TextPayload(9, 3, PlainText("a\nb\n<c>\x1f"))},
+     "PLAIN_TEXT"),
+    ("Local", {"payload": RelationalView(
+        attributes=(Attribute("k"),),
+        tuples=(ViewTuple((Cell("k", "1"),)), ViewTuple((Cell("k", "2\x02"),))))},
+     "VALUE"),
 ])
 def test_characters_outside_xml_are_rejected_with_their_element(
         schema, source, sub_kw, element):
@@ -122,9 +128,10 @@ def test_characters_outside_xml_are_rejected_with_their_element(
 
 
 def test_a_system_id_outside_xml_is_rejected(schema):
-    with pytest.raises(UnrepresentableCharacter) as err:
-        serialize(image_object(), schema, system_id="a\x01.dtd")
-    assert str(err.value) == "DOCTYPE holds U+0001, which XML 1.0 cannot represent"
+    for system_id in ("a\x01.dtd", "<a\x01.dtd"):
+        with pytest.raises(UnrepresentableCharacter) as err:
+            serialize(image_object(), schema, system_id=system_id)
+        assert str(err.value) == "DOCTYPE holds U+0001, which XML 1.0 cannot represent"
 
 
 def test_format_document_renders_empty_leaves_as_self_closing():
