@@ -275,6 +275,8 @@ def parse_dtd(text: str) -> DtdSchema:
     elements = {}
     order = []
     for name, model, line in decls:
+        if ":" in name:   # a document would read it as a namespace prefix
+            raise DtdSyntaxError(line, "an element name without ':'", found=name)
         if name in elements:
             raise DuplicateDeclaration(name, line)
         elements[name] = model

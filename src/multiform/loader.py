@@ -9,10 +9,12 @@ children in lockstep. A leaf with a table of its own (the root, or a
 repeated leaf) fills that row's `value` column.
 load applies a RowSet to a store atomically, offsetting ids so documents
 accumulate; it inserts one batch per table, parents before children.
-export inverts the layout walk and writes each element's canonical line
-as it goes, which is what makes round-trip checks byte-exact. It reads each
-table the walk reaches with one query per document, then serves every
-parent row its children, in `pos` order, from the tuples SQLite returns.
+export runs the schema's export plan, the layouts flattened once per
+schema with every line rendered ahead of time: a leaf costs one append of
+its open tag, escaped text and close tag, which is what makes round-trip
+checks byte-exact and cheap. It reads each table the plan reaches with one
+query per document, then serves every parent row its children, in `pos`
+order, from the tuples SQLite returns.
 """
 
 from __future__ import annotations
@@ -26,19 +28,22 @@ from .dtd import DtdSchema
 from .errors import IntegrityViolation, NotValidated, SchemaMismatch, UnknownId
 from .mapper import (
     FK,
+    GROUP,
     ID,
+    LEAF,
     POS,
+    TABLE,
     Alt,
     GroupTable,
     LeafCol,
     RelationalSchema,
-    Rep,
     Seq,
     TableRef,
     TextCol,
     emit_ddl,
+    quote,
 )
-from .xmldoc import DEFAULT_SYSTEM_ID, Lines
+from .xmldoc import DEFAULT_SYSTEM_ID, Lines, xml_escape
 
 
 @dataclass
@@ -167,7 +172,7 @@ class OdsStore:
                 f"tables {sorted(expected)}")
         for table in rschema.tables:
             have = [row[1] for row in
-                    self.conn.execute(f"PRAGMA table_info({table.name})")]
+                    self.conn.execute(f"PRAGMA table_info({table.quoted})")]
             if have != table.column_names():
                 raise SchemaMismatch(
                     f"table {table.name} has columns {have}, "
@@ -186,22 +191,15 @@ class OdsStore:
     def __exit__(self, *exc):
         self.close()
 
-    def max_id(self, table: str) -> int:
-        cur = self.conn.execute(f"SELECT COALESCE(MAX(id), 0) FROM {table}")
-        return cur.fetchone()[0]
-
     def to_script(self) -> str:
         """The store as SQL text: schema first, then every row in id order."""
         lines = [emit_ddl(self.rschema).rstrip("\n")] if self.rschema.tables else []
         for table in self.rschema.tables:
-            names = table.column_names()
-            cur = self.conn.execute(
-                f"SELECT {', '.join(names)} FROM {table.name} ORDER BY id")
+            names = ", ".join(map(quote, table.column_names()))
+            cur = self.conn.execute(f"SELECT {names} FROM {table.quoted} ORDER BY id")
             for row in cur:
                 values = ", ".join(_quote(v) for v in row)
-                lines.append(
-                    f"INSERT INTO {table.name} ({', '.join(names)}) "
-                    f"VALUES ({values});")
+                lines.append(f"INSERT INTO {table.quoted} ({names}) VALUES ({values});")
         return "".join(line + "\n" for line in lines)
 
 
@@ -250,11 +248,9 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
     counts = {t.name: 0 for t in rschema.tables}
     # offsets are read inside the write transaction, so a concurrent load
     # into the same store cannot take the same ids; one statement reads all
-    maxima = ", ".join(f"(SELECT COALESCE(MAX(id), 0) FROM {t.name})"
-                       for t in rschema.tables)
     store.conn.execute("BEGIN IMMEDIATE")
     try:
-        offsets = dict(zip(counts, store.conn.execute(f"SELECT {maxima}").fetchone()))
+        offsets = dict(zip(counts, store.conn.execute(rschema.offsets).fetchone()))
         for table in rschema.tables:
             batch = rows.tables.get(table.name)
             if not batch:
@@ -265,10 +261,7 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
                 params = ([row[ID] + shift, row[FK] + up, *row[POS:]] for row in batch)
             else:
                 params = ([row[ID] + shift, *row[ID + 1:]] for row in batch)
-            names = table.column_names()
-            store.conn.executemany(
-                f"INSERT INTO {table.name} ({', '.join(names)}) "
-                f"VALUES ({', '.join('?' for _ in names)})", params)
+            store.conn.executemany(table.insert, params)
             counts[table.name] = len(batch)
     except sqlite3.IntegrityError as exc:
         store.conn.execute("ROLLBACK")
@@ -284,90 +277,84 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
 
 
 class _Exporter:
-    """One document's rebuild, written as canonical lines. Each table is
-    read once, when the layout walk first reaches it, and its rows are kept
-    grouped by parent id."""
+    """One document's rebuild: runs the export plan, appending its lines.
+    Each table is read once, when the plan first reaches it, and its rows
+    are kept grouped by parent id."""
 
-    def __init__(self, store, object_id):
-        self.store = store
-        self.rschema = store.rschema
-        self.children = {}   # table -> {parent id: [rows in pos order]}
-        self.ids = {self.rschema.root_table: {object_id}}   # table -> row ids
+    def __init__(self, conn, root_table, object_id):
+        self.conn = conn
+        self.children = {}   # table name -> {parent id: [rows in pos order]}
+        self.ids = {root_table: {object_id}}   # table name -> row ids
         self.out = Lines()
 
-    def select(self, table_name, fk_value):
-        by_parent = self.children.get(table_name)
+    def select(self, table, parent_id):
+        by_parent = self.children.get(table.name)
         if by_parent is None:
-            by_parent = self.children[table_name] = self.fetch(table_name)
-        return by_parent.get(fk_value, ())
-
-    def fetch(self, table_name) -> dict:
-        """This document's rows of a table, grouped by parent id."""
-        table = self.rschema.table(table_name)
-        parents = self.ids.get(table.parent)
-        if parents is None:
-            parents = self.ids[table.parent] = {
-                row[ID] for rows in self.children[table.parent].values()
-                for row in rows}
-        # the id range only prunes: other documents' rows may fall inside
-        # it, so only groups under a parent row of this document are kept
-        cur = self.store.conn.execute(
-            f"SELECT {', '.join(table.column_names())} FROM {table_name} "
-            f"WHERE {table.fk} BETWEEN ? AND ? ORDER BY {table.fk}, pos",
-            (min(parents), max(parents)))
-        return {parent: list(group)
+            parents = self.ids.get(table.parent)
+            if parents is None:
+                parents = self.ids[table.parent] = {
+                    row[ID] for rows in self.children[table.parent].values()
+                    for row in rows}
+            # the id range only prunes: other documents' rows may fall inside
+            # it, so only groups under a parent row of this document are kept
+            cur = self.conn.execute(table.select, (min(parents), max(parents)))
+            by_parent = self.children[table.name] = {
+                parent: list(group)
                 for parent, group in groupby(cur, itemgetter(FK)) if parent in parents}
+        return by_parent.get(parent_id, ())
 
-    def element(self, table, row) -> None:
-        layout = table.layout
-        if isinstance(layout, TextCol):
-            self.out.leaf(table.element, row[layout.column])
+    def element(self, plan, row) -> None:
+        table, open_line, close_line, empty, body = plan
+        lines = self.out.lines
+        if body.__class__ is int:   # a leaf table: the text is on the row
+            value = row[body]
+            lines.append(f"{open_line}{xml_escape(value)}{close_line}" if value else empty)
+            return
+        lines.append(open_line)
+        mark = len(lines)
+        self.write(body, table, row)
+        if len(lines) == mark:
+            lines[-1] = empty
         else:
-            with self.out.element(table.element):
-                self.walk(layout, table.name, row)
+            lines.append(close_line)
 
-    def walk(self, layout, table_name, row) -> None:
-        """Write the children `layout` encodes on this row, in document order."""
-        if isinstance(layout, LeafCol):
-            value = row[layout.column]
-            if value is not None:
-                self.out.leaf(layout.element, value)
-        elif isinstance(layout, TableRef):
-            table = self.rschema.table(layout.table)
-            for child in self.select(layout.table, row[ID]):
-                self.element(table, child)
-        elif isinstance(layout, GroupTable):
-            for child in self.select(layout.table, row[ID]):
-                self.walk(layout.inner, layout.table, child)
-        elif isinstance(layout, Seq):
-            for part in layout.parts:
-                self.walk(part, table_name, row)
-        elif isinstance(layout, Alt):
-            token = row[layout.column]
-            if token is None:
-                return
-            if token not in layout.tokens:
-                column = self.rschema.table(table_name).columns[layout.column]
-                raise IntegrityViolation(
-                    f"{table_name}.{column.name} holds {token!r}, which "
-                    f"names no alternative of the choice")
-            self.walk(layout.alternatives[layout.tokens.index(token)],
-                      table_name, row)
-        else:  # Rep: cardinality is carried by the row sets selected above
-            self.walk(layout.inner, table_name, row)
+    def write(self, steps, table, row) -> None:
+        """Append the lines `steps` encode on this row of `table`, in order."""
+        lines = self.out.lines
+        for step in steps:
+            kind = step[0]
+            if kind == LEAF:
+                _, column, open_line, close, empty = step
+                value = row[column]
+                if value is not None:
+                    lines.append(f"{open_line}{xml_escape(value)}{close}" if value else empty)
+            elif kind == TABLE:
+                for child in self.select(step[1][0], row[ID]):
+                    self.element(step[1], child)
+            elif kind == GROUP:
+                _, group, inner = step
+                for child in self.select(group, row[ID]):
+                    self.write(inner, group, child)
+            else:   # ALT
+                _, column, alternatives = step
+                token = row[column]
+                if token is None:
+                    continue
+                inner = alternatives.get(token)
+                if inner is None:
+                    raise IntegrityViolation(
+                        f"{table.name}.{table.columns[column].name} holds {token!r}, "
+                        f"which names no alternative of the choice")
+                self.write(inner, table, row)
 
 
 def export(store: OdsStore, object_id: int, schema: DtdSchema,
            rschema: RelationalSchema, system_id: str = DEFAULT_SYSTEM_ID) -> str:
     """Rebuild one loaded document and render it canonically."""
-    root_table = rschema.table(rschema.root_table)
-    cur = store.conn.execute(
-        f"SELECT {', '.join(root_table.column_names())} FROM {rschema.root_table} "
-        f"WHERE id = ?",
-        (object_id,))
-    row = cur.fetchone()
+    plan = rschema.export_plan
+    row = store.conn.execute(plan[0].select, (object_id,)).fetchone()
     if row is None:
         raise UnknownId(rschema.root_table, object_id)
-    exporter = _Exporter(store, object_id)
-    exporter.element(root_table, row)
-    return exporter.out.document(root_table.element, system_id)
+    exporter = _Exporter(store.conn, rschema.root_table, object_id)
+    exporter.element(plan, row)
+    return exporter.out.document(rschema.root_element, system_id)

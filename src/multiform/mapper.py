@@ -6,17 +6,42 @@ column. A leaf occurring at most once becomes a column on its parent's
 row; choices become discriminator columns; repeated groups become
 synthetic tables. Each element table carries its layout, a tree that
 mirrors the element's content model node for node and says where each
-part lives relationally; the shredder and the exporter both walk it. The
-mapping only works for tree-shaped DTDs: an element stored in two places
-would need two parent links, so sharing reports a NameCollision.
+part lives relationally; the shredder walks it. For export, each layout is
+flattened once per schema into a plan of steps whose lines are rendered
+ahead of time. The mapping only works for tree-shaped DTDs: an element
+stored in two places would need two parent links, so sharing reports a
+NameCollision; that is also what gives every element one indentation.
+Names go into SQL bare where SQLite allows, else quoted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .dtd import Choice, DtdSchema, ElementRef, PCData, Repeat, render_model
 from .errors import DtdError, NameCollision
+from .xmldoc import INDENT, tag_lines
+
+# SQLite keywords that cannot stand bare as a table or column name in the
+# statements built here; the rest (`query`, `first`, `last`, ...) parse as
+# names. A test round-trips every keyword as an element name to keep it so.
+_RESERVED = frozenset("""
+    add all alter and as autoincrement between case cast check collate commit
+    constraint create current_date current_time current_timestamp default
+    deferrable delete distinct drop else escape except exists foreign from group
+    having if in index insert intersect into is isnull join limit not nothing
+    notnull null on or order primary raise references returning select set table
+    then to transaction union unique update using values when where""".split())
+
+
+def quote(name: str) -> str:
+    """`name` as an SQL identifier: bare when it is [a-z_][a-z0-9_]* and not
+    reserved, else in double quotes."""
+    if (name.isascii() and name.isidentifier() and name == name.lower()
+            and name not in _RESERVED):
+        return name
+    return '"' + name.replace('"', '""') + '"'
 
 
 @dataclass(frozen=True)
@@ -39,6 +64,25 @@ class Table:
 
     def column_names(self):
         return [c.name for c in self.columns]
+
+    # SQL texts, built on first use, once the mapping is complete
+    @cached_property
+    def quoted(self) -> str:
+        return quote(self.name)
+
+    @cached_property
+    def insert(self) -> str:
+        return (f"INSERT INTO {self.quoted} ({', '.join(map(quote, self.column_names()))}) "
+                f"VALUES ({', '.join('?' * len(self.columns))})")
+
+    @cached_property
+    def select(self) -> str:
+        """A document's rows: the root's by id, a linked table's by a range
+        of parent ids, in parent and `pos` order."""
+        head = f"SELECT {', '.join(map(quote, self.column_names()))} FROM {self.quoted}"
+        if self.fk is None:
+            return f"{head} WHERE id = ?"
+        return f"{head} WHERE {quote(self.fk)} BETWEEN ? AND ? ORDER BY {quote(self.fk)}, pos"
 
 
 # Layout nodes. One per content-model node; each says where that part of
@@ -99,6 +143,40 @@ class RelationalSchema:
     def table(self, name: str) -> Table:
         return self.by_name[name]
 
+    @cached_property
+    def offsets(self) -> str:
+        """One SELECT of every table's largest id."""
+        return "SELECT " + ", ".join(f"(SELECT COALESCE(MAX(id), 0) FROM {t.quoted})"
+                                     for t in self.tables)
+
+    @cached_property
+    def export_plan(self) -> tuple:
+        """The root table's plan: (table, open line, close line, empty line,
+        body), lines rendered at the table's one depth. A leaf table's body
+        is its text column and its close line the close tag; any other's is
+        its layout as steps: Seq spliced, Rep dropped (rows carry the counts)."""
+        return self._plan(self.table(self.root_table), "")
+
+    def _plan(self, table, pad) -> tuple:
+        open_line, close, empty = tag_lines(table.element, pad)
+        if isinstance(table.layout, TextCol):
+            return table, open_line, close, empty, table.layout.column
+        return table, open_line, pad + close, empty, self._steps(table.layout, pad + INDENT)
+
+    def _steps(self, layout, pad) -> list:
+        if isinstance(layout, LeafCol):
+            return [(LEAF, layout.column, *tag_lines(layout.element, pad))]
+        if isinstance(layout, TableRef):
+            return [(TABLE, self._plan(self.table(layout.table), pad))]
+        if isinstance(layout, GroupTable):
+            return [(GROUP, self.table(layout.table), self._steps(layout.inner, pad))]
+        if isinstance(layout, Alt):
+            return [(ALT, layout.column, {token: self._steps(alt, pad) for token, alt
+                                          in zip(layout.tokens, layout.alternatives)})]
+        if isinstance(layout, Rep):
+            return self._steps(layout.inner, pad)
+        return [step for part in layout.parts for step in self._steps(part, pad)]
+
 
 def _alt_token(model) -> str:
     # Bare element alternatives are named by the element; anything fancier
@@ -111,6 +189,8 @@ def _alt_token(model) -> str:
 # Positions of the leading columns in every row: the id, then, on a table
 # that link() ties to a parent, the parent's id and the sibling position.
 ID, FK, POS = 0, 1, 2
+# Kinds of export plan step; each step is a tuple that starts with its kind
+LEAF, TABLE, GROUP, ALT = range(4)
 
 # Deepest nesting of model nodes and element tables: mapping, shred and export
 # recurse about two frames a level, and a model may nest two nodes a group.
@@ -126,6 +206,9 @@ class _Builder:
         self.group_count = {}
 
     def new_table(self, name, origin, element=None) -> Table:
+        if name.startswith("sqlite_"):
+            raise DtdError(f"{origin} would need table {name}, and SQLite "
+                           f"reserves names starting with sqlite_")
         other = self.by_name.get(name)
         if other is not None:
             raise NameCollision("table", name, other.origin, origin)
@@ -228,10 +311,10 @@ def emit_ddl(rschema: RelationalSchema) -> str:
                 rendered.append("id INTEGER PRIMARY KEY")
             elif col.name == table.fk:
                 rendered.append(
-                    f"{col.name} INTEGER REFERENCES {table.parent}(id)")
+                    f"{quote(col.name)} INTEGER REFERENCES {quote(table.parent)}(id)")
             elif col.affinity == "integer":
-                rendered.append(f"{col.name} INTEGER")
+                rendered.append(f"{quote(col.name)} INTEGER")
             else:
-                rendered.append(f"{col.name} TEXT")
-        lines.append(f"CREATE TABLE {table.name} ({', '.join(rendered)});")
+                rendered.append(f"{quote(col.name)} TEXT")
+        lines.append(f"CREATE TABLE {table.quoted} ({', '.join(rendered)});")
     return "".join(line + "\n" for line in lines)

@@ -4,12 +4,13 @@ Emitting walks the object once and appends each element's line, in the
 order mlfd.dtd declares them; the object model mirrors that DTD, so no
 content model is consulted and no element tree is built.
 
-The canonical form, written by `Lines` alone, is fixed so that equal trees
-give byte-identical text: a standard prolog, a DOCTYPE naming the root,
-two-space indentation, one element per line with leaf content inline,
-`<T/>` for an element with no text or children, LF line endings, ``& < >``
-escaped, and CR written as ``&#13;``. Documents carry no attributes,
-namespaces, processing instructions or comments.
+The canonical form, written from the parts `tag_lines` renders (by `Lines`
+and by export's plan), is fixed so that equal trees give byte-identical
+text: a standard prolog, a DOCTYPE naming the root, two-space indentation,
+one element per line with leaf content inline, `<T/>` for an element with
+no text or children, LF line endings, ``& < >`` escaped, and CR written as
+``&#13;``. Documents carry no attributes, namespaces, processing
+instructions or comments.
 """
 
 from __future__ import annotations
@@ -28,16 +29,25 @@ from .errors import (
 )
 
 DEFAULT_SYSTEM_ID = "mlfd.dtd"
+INDENT = "  "   # one nesting level
 
 
 def xml_escape(text: str) -> str:
     # a literal CR would be folded into LF by the parser (XML 1.0 section
     # 2.11); a character reference survives that
-    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-            .replace("\r", "&#13;"))
+    if "&" in text or "<" in text or ">" in text or "\r" in text:
+        return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+                .replace("\r", "&#13;"))
+    return text
 
 
 # -- canonical formatting ------------------------------------------------------
+
+
+def tag_lines(tag: str, pad: str) -> tuple:
+    """`tag`'s open line at indentation `pad`, its close tag (which ends a
+    leaf's line or follows `pad`), and its line when it holds nothing."""
+    return f"{pad}<{tag}>", f"</{tag}>", f"{pad}<{tag}/>"
 
 
 class Lines:
@@ -47,17 +57,22 @@ class Lines:
     def __init__(self):
         self.lines = []
         self.pad = ""
-        self.opened = []   # (tag, line count after its open line, pad) per open element
+        self.opened = []   # (tag_lines, lines so far, pad, here) per open element
+        # pad -> {tag: tag_lines(tag, pad)}: a line costs one dict hit, not a call
+        self.by_pad = {"": {}}
+        self.here = self.by_pad[""]
 
     def leaf(self, tag: str, text: str | None) -> None:
         """`<T>text</T>`, or `<T/>` when the text is empty or None."""
-        self.lines.append(f"{self.pad}<{tag}>{xml_escape(text)}</{tag}>" if text
-                          else f"{self.pad}<{tag}/>")
+        parts = self.here.get(tag) or self.here.setdefault(tag, tag_lines(tag, self.pad))
+        self.lines.append(f"{parts[0]}{xml_escape(text)}{parts[1]}" if text else parts[2])
 
     def element(self, tag: str) -> Lines:
-        self.lines.append(f"{self.pad}<{tag}>")
-        self.opened.append((tag, len(self.lines), self.pad))
-        self.pad += "  "
+        parts = self.here.get(tag) or self.here.setdefault(tag, tag_lines(tag, self.pad))
+        self.lines.append(parts[0])
+        self.opened.append((parts, len(self.lines), self.pad, self.here))
+        self.pad = pad = self.pad + INDENT
+        self.here = self.by_pad.get(pad) or self.by_pad.setdefault(pad, {})
         return self
 
     def __enter__(self):
@@ -65,11 +80,11 @@ class Lines:
 
     def __exit__(self, *exc):
         """Close the innermost element; with no line inside, it is `<T/>`."""
-        tag, mark, self.pad = self.opened.pop()
+        parts, mark, self.pad, self.here = self.opened.pop()
         if len(self.lines) == mark:
-            self.lines[-1] = f"{self.pad}<{tag}/>"
+            self.lines[-1] = parts[2]
         else:
-            self.lines.append(f"{self.pad}</{tag}>")
+            self.lines.append(self.pad + parts[1])
 
     def document(self, root_tag: str, system_id: str) -> str:
         """The prolog, the DOCTYPE and the lines, each ending on LF."""
@@ -191,15 +206,11 @@ class Document:
     doctype: str | None
 
 
-class _Builder(ET.TreeBuilder):
-    """Tree builder that keeps the doctype name (everything else is dropped)."""
-
-    def __init__(self):
-        super().__init__()
-        self.doctype_name = None
-
-    def doctype(self, name, pubid, system):
-        self.doctype_name = name
+# the DOCTYPE's name, read past a byte order mark, whitespace, PIs (the XML
+# declaration among them) and comments; each part matches in one way only,
+# so a prolog with no DOCTYPE fails in time linear in its length
+_DOCTYPE = re.compile(r"\ufeff?(?:\s|<\?(?:[^?]|\?(?!>))*\?>|<!--(?:[^-]|-(?!-))*-->)*"
+                      r"<!DOCTYPE\s+([^\s\[>]+)")
 
 
 def parse_document(text: str) -> Document:
@@ -208,8 +219,7 @@ def parse_document(text: str) -> Document:
     Comments and processing instructions are skipped; attributes are not
     part of the document shape this package produces and are rejected.
     """
-    builder = _Builder()
-    parser = ET.XMLParser(target=builder)
+    parser = ET.XMLParser()
     try:
         parser.feed(text)
         root = parser.close()
@@ -217,12 +227,13 @@ def parse_document(text: str) -> Document:
         line = exc.position[0] if exc.position else 0
         raise NotWellFormed(line, str(exc)) from None
     for element in root.iter():
-        if element.attrib:
+        if element.keys():
             raise UnsupportedConstruct(
                 "attribute",
                 f"element {element.tag} carries attributes "
                 + ", ".join(sorted(element.attrib)))
-    return Document(root=root, doctype=builder.doctype_name)
+    doctype = _DOCTYPE.match(text)
+    return Document(root=root, doctype=doctype and doctype.group(1))
 
 
 # -- reconstruction -------------------------------------------------------------------

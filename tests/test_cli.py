@@ -156,6 +156,50 @@ def test_schema_with_a_broken_dtd(workdir):
     assert main(["schema", "--dtd", "bad.dtd"]) == 2
 
 
+# Element names SQLite cannot take bare: a keyword (ORDER, GROUP) and
+# characters outside [a-z0-9_]
+QUOTED_NAMES = {
+    "keywords": ("<!ELEMENT ORDER (GROUP*)>\n<!ELEMENT GROUP (#PCDATA)>\n",
+                 "<ORDER>\n  <GROUP>a</GROUP>\n  <GROUP/>\n</ORDER>"),
+    "hyphen": ("<!ELEMENT R (my-item*)>\n<!ELEMENT my-item (#PCDATA)>\n",
+               "<R>\n  <my-item>a &amp; b</my-item>\n</R>"),
+    "dot": ("<!ELEMENT R (a.b, c)>\n<!ELEMENT a.b (#PCDATA)>\n<!ELEMENT c (#PCDATA)>\n",
+            "<R>\n  <a.b>x</a.b>\n  <c>y</c>\n</R>"),
+}
+
+
+@pytest.mark.parametrize("case", QUOTED_NAMES)
+def test_names_sqlite_would_misread_load_and_export(workdir, capsys, case):
+    dtd, body = QUOTED_NAMES[case]
+    root = body[1:body.index(">")]
+    text = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<!DOCTYPE {root} SYSTEM "t.dtd">\n{body}\n')
+    put(workdir, "t.dtd", dtd)
+    put(workdir, "doc.xml", text)
+    assert main(["schema", "--dtd", "t.dtd"]) == 0
+    assert main(["validate", "doc.xml", "--dtd", "t.dtd"]) == 0
+    assert main(["load", "doc.xml", "--dtd", "t.dtd", "--db", "s.db"]) == 0
+    assert main(["load", "doc.xml", "--dtd", "t.dtd", "--sql-out", "s.sql"]) == 0
+    assert main(["export", "--db", "s.db", "--id", "1", "--dtd", "t.dtd",
+                 "--out", "back.xml"]) == 0
+    assert (workdir / "back.xml").read_text() == text
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("dtd, message", [
+    ("<!ELEMENT sqlite_stat1 (#PCDATA)>", "sqlite_"),
+    ("<!ELEMENT R (sqlite_x*)>\n<!ELEMENT sqlite_x (#PCDATA)>", "sqlite_"),
+    ("<!ELEMENT R (x:y+)>\n<!ELEMENT x:y (#PCDATA)>", "line 2: expected an element "
+                                                     "name without ':', found 'x:y'"),
+], ids=["root-sqlite_stat1", "repeated-leaf-sqlite_x", "colon"])
+def test_names_sqlite_or_the_parser_cannot_hold_fail_at_schema(workdir, capsys,
+                                                               dtd, message):
+    put(workdir, "t.dtd", dtd + "\n")
+    assert main(["schema", "--dtd", "t.dtd"]) == 2
+    assert message in one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+
+
 # -- validate ----------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import re
@@ -71,6 +72,10 @@ def shredded(text, schema, rschema):
 def rows_for(rows, rschema, table):
     names = rschema.table(table).column_names()
     return [dict(zip(names, row)) for row in rows.tables.get(table, ())]
+
+
+def max_id(store, table):
+    return store.conn.execute(f"SELECT COALESCE(MAX(id), 0) FROM {table}").fetchone()[0]
 
 
 # -- shredding ---------------------------------------------------------------------
@@ -178,7 +183,7 @@ def test_store_reopens_an_existing_database(rschema, tmp_path):
             "INSERT INTO complex_object (id, obj_name, date, source)"
             " VALUES (1, 'a', 'b', 'c')")
     with OdsStore(rschema, path) as store:
-        assert store.max_id("complex_object") == 1
+        assert max_id(store, "complex_object") == 1
 
 
 def test_store_rejects_a_database_with_a_different_shape(rschema, tmp_path):
@@ -241,7 +246,7 @@ def test_unknown_table_is_rejected_before_writing(rschema):
     with OdsStore(rschema) as store:
         with pytest.raises(SchemaMismatch):
             load(rows, store)
-        assert store.max_id("complex_object") == 0
+        assert max_id(store, "complex_object") == 0
 
 
 def test_unknown_column_is_rejected_before_writing(rschema):
@@ -260,7 +265,7 @@ def test_unknown_column_is_rejected_before_writing(rschema):
         with OdsStore(rschema) as store:
             with pytest.raises(SchemaMismatch):
                 load(RowSet(tables), store)
-            assert store.max_id("complex_object") == 0
+            assert max_id(store, "complex_object") == 0
     with OdsStore(rschema) as store:
         assert load(RowSet({"complex_object": [root], "subdocument": [sub]}),
                     store).total == 2
@@ -318,7 +323,7 @@ def test_two_rows_of_a_singular_child_are_rejected(schema, rschema):
     with OdsStore(rschema) as store:
         with pytest.raises(IntegrityViolation) as err:
             load(rows, store)
-        assert store.max_id("complex_object") == 0
+        assert max_id(store, "complex_object") == 0
     assert "image" in str(err.value)
 
 
@@ -468,7 +473,7 @@ def test_load_reads_every_offset_in_one_statement(schema, rschema):
             load(shredded(text, schema, rschema), store)
             store.conn.set_trace_callback(None)
             assert len([s for s in statements if s.startswith("SELECT")]) == 1
-        assert store.max_id("complex_object") == 2
+        assert max_id(store, "complex_object") == 2
         assert export(store, 2, schema, rschema) == text
 
 
@@ -612,6 +617,29 @@ def test_round_trip_identity_on_a_second_schema(data_dir, name):
             load(shred(document, schema, rschema, report), store)
             assert export(store, i + 1, schema, rschema,
                           system_id=system_id) == text
+
+
+def test_exports_from_schemas_mapped_and_dropped_in_turn_stay_apart(data_dir):
+    # every schema is mapped afresh each round and freed after use, so a new
+    # one may take the memory (and id) of one gone before; each export must
+    # still follow its own schema
+    dtds = [SECOND_SCHEMAS[name] or (data_dir / f"{name}.dtd").read_text()
+            for name in SECOND_SCHEMAS]
+    rng = random.Random(7)
+    for _ in range(10):
+        live = []
+        for dtd in dtds:
+            schema = parse_dtd(dtd)
+            rschema = map_schema(schema)
+            store = OdsStore(rschema)
+            document = generate_document(schema, rng)
+            load(shred(document, schema, rschema, validate(document, schema)), store)
+            live.append((schema, rschema, store, format_document(document)))
+        for schema, rschema, store, text in live:   # one export of each in turn
+            assert export(store, 1, schema, rschema) == text
+            store.close()
+        del live, schema, rschema, store
+        gc.collect()
 
 
 def chain_dtd(n, model):

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import sqlite3
 
 import pytest
 
-from multiform.dtd import builtin_schema, parse_dtd
-from multiform.errors import NameCollision
-from multiform.mapper import emit_ddl, map_schema
+from multiform.dtd import builtin_schema, parse_dtd, validate
+from multiform.errors import DtdError, NameCollision
+from multiform.loader import OdsStore, export, load, shred
+from multiform.mapper import emit_ddl, map_schema, quote
+from multiform.xmldoc import parse_document
 
 
 def table_facts(rschema):
@@ -199,7 +203,6 @@ def test_ddl_spells_out_keys_and_references(rschema):
 
 
 def test_ddl_runs_under_sqlite(rschema):
-    import sqlite3
     with sqlite3.connect(":memory:") as conn:
         conn.executescript(emit_ddl(rschema))
         names = {r[0] for r in conn.execute(
@@ -220,3 +223,84 @@ def test_every_table_follows_its_parent(data_dir, dtd_file):
         assert table.parent is None or table.parent in seen, table.name
         seen.add(table.name)
     assert rschema.tables[0].name == rschema.root_table
+
+
+# -- names in SQL ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtd_file, digest", [
+    (None, "f06eecd9284f6702"), ("library.dtd", "ef6079da6b5f0035")])
+def test_quoting_leaves_the_fixture_ddl_unchanged(data_dir, dtd_file, digest):
+    # query (bundled) and first, last (library) are keywords SQLite reads as names
+    schema = (builtin_schema() if dtd_file is None
+              else parse_dtd((data_dir / dtd_file).read_text()))
+    ddl = emit_ddl(map_schema(schema)).encode()
+    assert hashlib.sha256(ddl).hexdigest().startswith(digest)
+
+
+@pytest.mark.parametrize("name, sql", [
+    ("value", "value"), ("_x1", "_x1"), ("query", "query"), ("order", '"order"'),
+    ("group", '"group"'), ("my-item", '"my-item"'), ("a.b", '"a.b"'),
+    ("1a", '"1a"'), ("été", '"été"'), ('say"hi', '"say""hi"')])
+def test_quote_wraps_only_what_sqlite_would_misread(name, sql):
+    assert quote(name) == sql
+
+
+# SQLite's keyword list (https://sqlite.org/lang_keywords.html)
+SQLITE_KEYWORDS = """
+    ABORT ACTION ADD AFTER ALL ALTER ALWAYS ANALYZE AND AS ASC ATTACH AUTOINCREMENT
+    BEFORE BEGIN BETWEEN BY CASCADE CASE CAST CHECK COLLATE COLUMN COMMIT CONFLICT
+    CONSTRAINT CREATE CROSS CURRENT CURRENT_DATE CURRENT_TIME CURRENT_TIMESTAMP
+    DATABASE DEFAULT DEFERRABLE DEFERRED DELETE DESC DETACH DISTINCT DO DROP EACH
+    ELSE END ESCAPE EXCEPT EXCLUDE EXCLUSIVE EXISTS EXPLAIN FAIL FILTER FIRST
+    FOLLOWING FOR FOREIGN FROM FULL GENERATED GLOB GROUP GROUPS HAVING IF IGNORE
+    IMMEDIATE IN INDEX INDEXED INITIALLY INNER INSERT INSTEAD INTERSECT INTO IS
+    ISNULL JOIN KEY LAST LEFT LIKE LIMIT MATCH MATERIALIZED NATURAL NO NOT NOTHING
+    NOTNULL NULL NULLS OF OFFSET ON OR ORDER OTHERS OUTER OVER PARTITION PLAN
+    PRAGMA PRECEDING PRIMARY QUERY RAISE RANGE RECURSIVE REFERENCES REGEXP REINDEX
+    RELEASE RENAME REPLACE RESTRICT RETURNING RIGHT ROLLBACK ROW ROWS SAVEPOINT
+    SELECT SET TABLE TEMP TEMPORARY THEN TIES TO TRANSACTION TRIGGER UNBOUNDED
+    UNION UNIQUE UPDATE USING VACUUM VALUES VIEW VIRTUAL WHEN WHERE WINDOW WITH
+    WITHOUT""".split()
+
+
+@pytest.mark.parametrize("shape", ["columns", "tables"])
+def test_every_sqlite_keyword_is_a_usable_element_name(shape):
+    # each keyword once as a leaf column of the root, or as a repeated leaf
+    # with a table of its own (and a {name}_id link in a child table)
+    mult = "?" if shape == "columns" else "*"
+    children = ", ".join(f"{k}{mult}" for k in SQLITE_KEYWORDS)
+    dtd = f"<!ELEMENT R ({children})>\n" + "".join(
+        f"<!ELEMENT {k} (#PCDATA)>\n" for k in SQLITE_KEYWORDS)
+    text = ('<?xml version="1.0" encoding="UTF-8"?>\n<!DOCTYPE R SYSTEM "r.dtd">\n'
+            "<R>\n" + "".join(f"  <{k}>{k.lower()}</{k}>\n" for k in SQLITE_KEYWORDS)
+            + "</R>\n")
+    schema = parse_dtd(dtd)
+    rschema = map_schema(schema)
+    document = parse_document(text).root
+    with OdsStore(rschema) as store:
+        load(shred(document, schema, rschema, validate(document, schema)), store)
+        load(shred(document, schema, rschema, validate(document, schema)), store)
+        assert export(store, 2, schema, rschema, system_id="r.dtd") == text
+        script = store.to_script()
+    with sqlite3.connect(":memory:") as conn:
+        conn.executescript(script)
+        query = ('SELECT "order" FROM r' if shape == "columns"
+                 else 'SELECT value FROM "order"')
+        assert conn.execute(query).fetchall() == [("order",), ("order",)]
+
+
+@pytest.mark.parametrize("dtd", [
+    "<!ELEMENT sqlite_master (#PCDATA)>",
+    "<!ELEMENT R (SQLITE_SEQUENCE+)>\n<!ELEMENT SQLITE_SEQUENCE (#PCDATA)>",
+    "<!ELEMENT R (sqlite_x, b)>\n<!ELEMENT sqlite_x (a)>\n"
+    "<!ELEMENT a (#PCDATA)>\n<!ELEMENT b (#PCDATA)>",
+])
+def test_a_table_name_sqlite_reserves_is_rejected(dtd):
+    with pytest.raises(DtdError, match="sqlite_"):
+        map_schema(parse_dtd(dtd))
+
+
+def test_a_column_may_start_with_sqlite():
+    rschema = map_schema(parse_dtd("<!ELEMENT R (sqlite_x)>\n<!ELEMENT sqlite_x (#PCDATA)>"))
+    assert rschema.table("r").column_names() == ["id", "sqlite_x"]

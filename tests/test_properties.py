@@ -1,13 +1,17 @@
 """Invariants checked over generated input rather than fixed samples."""
 
 import random
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from docgen import generate_document, mutate
-from multiform.dtd import builtin_schema, match_children, validate
+from multiform.cli import main
+from multiform.dtd import builtin_schema, match_children, parse_dtd, validate
 from multiform.extract import count_lines, extract_links
 from multiform.loader import OdsStore, export, load, shred
+from multiform.mapper import map_schema
 from multiform.model import ImageMeta, Subdocument, make_complex_object
 from multiform.sidecar import parse_sidecar
 from multiform.xmldoc import format_document, parse_document, serialize, to_object
@@ -89,3 +93,66 @@ def test_every_reported_match_is_the_match_of_its_element(schema, seed):
         for element, mtree in report.matches.items():
             assert mtree == match_children(schema.elements[element.tag],
                                            [c.tag for c in element])
+
+
+# Element names SQLite reads as keywords or cannot take bare, names it
+# reserves, and names that collide once lower-cased with a table, a column
+# or each other
+ELEMENT_NAMES = ["ORDER", "order", "GROUP", "select", "table", "Table", "query",
+                 "my-item", "a.b", "_x", "x_", "sqlite_stat1", "sqlite_x", "ID",
+                 "pos", "value", "E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7"]
+
+
+@st.composite
+def tree_dtds(draw):
+    """A DTD whose every element is referenced at most once, so it is tree
+    shaped unless two drawn names coincide."""
+    declarations = []
+
+    def element(depth):
+        name = draw(st.sampled_from(ELEMENT_NAMES))
+        at = len(declarations)
+        declarations.append(None)
+        if depth < 3 and draw(st.booleans()):
+            body = model(depth)
+            body = body if body.startswith("(") else f"({body})"
+        else:
+            body = "(#PCDATA)"
+        declarations[at] = f"<!ELEMENT {name} {body}>"
+        return name
+
+    def model(depth):
+        if draw(st.integers(0, 2)) == 0:
+            return element(depth + 1)
+        parts = [model(depth + 1) if draw(st.booleans()) and depth < 2
+                 else element(depth + 1)
+                 for _ in range(draw(st.integers(1, 3)))]
+        sep = draw(st.sampled_from([", ", " | "]))
+        return f"({sep.join(parts)}){draw(st.sampled_from(['', '?', '*', '+']))}"
+
+    element(0)
+    return "\n".join(declarations) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_dtds(), st.integers(0, 2 ** 32))
+def test_any_tree_shaped_dtd_fails_at_schema_or_round_trips(dtd, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.dtd"
+        path.write_text(dtd)
+        code = main(["schema", "--dtd", str(path), "--out", str(Path(tmp) / "ddl.sql")])
+    assert code in (0, 2)
+    if code == 2:
+        return
+    schema = parse_dtd(dtd)
+    rschema = map_schema(schema)
+    rng = random.Random(seed)
+    with OdsStore(rschema) as store:
+        for i in range(5):
+            document = generate_document(schema, rng)
+            text = format_document(document, system_id="t.dtd")
+            document = parse_document(text).root
+            report = validate(document, schema)
+            assert report.valid
+            load(shred(document, schema, rschema, report), store)
+            assert export(store, i + 1, schema, rschema, system_id="t.dtd") == text

@@ -155,6 +155,25 @@ def test_parse_without_doctype():
     assert doc.root.text == "x"
 
 
+@pytest.mark.parametrize("prolog, name", [
+    ('\ufeff<?xml version="1.0" encoding="UTF-8"?>\n<!DOCTYPE R SYSTEM "r.dtd">\n', "R"),
+    ("\ufeff<!DOCTYPE R>\n", "R"),
+    ('<?xml version="1.0"?>\n<!-- a - b -->\n<!DOCTYPE R SYSTEM "r.dtd">\n', "R"),
+    ('<?xml version="1.0"?>\n<?style a?b > c?>\n<!DOCTYPE R SYSTEM "r.dtd">\n', "R"),
+    ("<!DOCTYPE R [\n<!ELEMENT R (#PCDATA)>\n]>\n", "R"),
+    ("<!DOCTYPE R[<!ELEMENT R (#PCDATA)>]>", "R"),
+    ('<!DOCTYPE R PUBLIC "-//x//y" "r.dtd">\n', "R"),
+    ("\n\n<!DOCTYPE\tR\t>\n", "R"),
+    ('<?xml version="1.0"?>\n', None),
+    ("<!-- <!DOCTYPE X> -->\n", None),
+], ids=["bom", "bom-no-declaration", "comment", "pi", "internal-subset",
+        "internal-subset-tight", "public-id", "whitespace", "none", "in-a-comment"])
+def test_parse_reads_the_doctype_name_past_the_prolog(prolog, name):
+    doc = parse_document(prolog + "<R>x</R>\n<!-- <!DOCTYPE Y> -->\n")
+    assert doc.doctype == name
+    assert doc.root.text == "x"
+
+
 def test_parse_skips_comments_and_processing_instructions():
     doc = parse_document("<A><!-- note --><?pi data?><B/></A>")
     assert [c.tag for c in doc.root] == ["B"]
