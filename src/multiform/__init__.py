@@ -46,7 +46,7 @@ from .model import (
     make_complex_object,
 )
 from .sidecar import SidecarRecord, load_sidecar, parse_sidecar
-from .xmldoc import format_document, parse_document, serialize, to_object
+from .xmldoc import format_document, parse_document, serialize
 
 __version__ = "0.1.0"
 
@@ -95,6 +95,5 @@ __all__ = [
     "parse_sidecar",
     "serialize",
     "shred",
-    "to_object",
     "validate",
 ]

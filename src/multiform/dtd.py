@@ -413,10 +413,12 @@ class _Failure:
 #
 # A thread records the decisions its path took, in the order a left-to-right
 # walk of the model meets them: the index of each alternative chosen, and
-# before each iteration of a repeat whether it iterates or stops (a "?"
-# decides once). Replaying them over the model rebuilds the match tree.
+# before each iteration of a repeat whether it iterates (ITERATE) or stops
+# (STOP); a "?" decides once. The match is that flat tuple of decisions:
+# shred replays it over the element's table plan, and tree() over the model.
+# A model without choices or repeats matches with no decisions at all, ().
 
-_STOP, _ITERATE = 0, 1
+STOP, ITERATE = 0, 1
 _ENTER, _EXIT = 0, 1
 _START = -1
 
@@ -471,9 +473,9 @@ class _Automaton:
                         nxt = [(_ENTER, kid, fresh, taken + (k,))
                                for k, kid in enumerate(kids[n])]
                     else:
-                        nxt = [(_ENTER, kids[n][0], fresh | {n}, taken + (_ITERATE,))]
+                        nxt = [(_ENTER, kids[n][0], fresh | {n}, taken + (ITERATE,))]
                         if node.mult != "+" or nullable(node.inner):
-                            nxt.append((_EXIT, n, fresh, taken + (_STOP,)))
+                            nxt.append((_EXIT, n, fresh, taken + (STOP,)))
                 else:
                     up = parents[n]
                     if up < 0:
@@ -489,8 +491,8 @@ class _Automaton:
                     elif parent.mult == "?":
                         nxt = [(_EXIT, up, fresh, taken)]
                     else:
-                        nxt = [(_ENTER, n, fresh | {up}, taken + (_ITERATE,)),
-                               (_EXIT, up, fresh, taken + (_STOP,))]
+                        nxt = [(_ENTER, n, fresh | {up}, taken + (ITERATE,)),
+                               (_EXIT, up, fresh, taken + (STOP,))]
                 stack.extend(reversed(nxt))
             return arrivals
 
@@ -508,7 +510,8 @@ class _Automaton:
                 steps.setdefault(models[q].name, []).append((q, taken))
 
     def match(self, names, fail=None):
-        """Match tree of the child name sequence, or None.
+        """The decisions of the first match of the child name sequence, as a
+        tuple, or None.
 
         On failure, fail (a _Failure) notes the first position no thread
         got past and every name, or "end of children", that was expected
@@ -530,7 +533,11 @@ class _Automaton:
         for state, path in threads:
             taken = self.accept[state]
             if taken is not None:
-                return self._tree((taken, path))
+                chunks = [taken]
+                while path is not None:
+                    taken, path = path
+                    chunks.append(taken)
+                return tuple([d for taken in reversed(chunks) for d in taken])
         return self._fail(threads, len(names), len(names), fail)
 
     def _fail(self, threads, at, total, fail):
@@ -542,12 +549,9 @@ class _Automaton:
                     fail.note(at, "end of children")
         return None
 
-    def _tree(self, path):
-        chunks = []
-        while path is not None:
-            taken, path = path
-            chunks.append(taken)
-        decisions = iter([d for taken in reversed(chunks) for d in taken])
+    def tree(self, decisions):
+        """The match tree that match()'s decisions describe."""
+        decisions = iter(decisions)
         index = count()
 
         def build(model):
@@ -559,7 +563,7 @@ class _Automaton:
                 k = next(decisions)
                 return MChoice(k, build(model.alternatives[k]))
             iterations = []
-            while next(decisions) == _ITERATE:
+            while next(decisions) == ITERATE:
                 iterations.append(build(model.inner))
                 if model.mult == "?":
                     break
@@ -574,7 +578,9 @@ def match_children(model, names, fail=None):
     "First" is the match a backtracking search would find first: repeats
     greedy, alternatives in order, no zero-width iterations.
     """
-    return _Automaton(model).match(names, fail)
+    automaton = _Automaton(model)
+    decisions = automaton.match(names, fail)
+    return None if decisions is None else automaton.tree(decisions)
 
 
 # -- validation -------------------------------------------------------------------
@@ -596,8 +602,9 @@ class ValidationReport:
     document: object
     valid: bool
     violations: tuple[Violation, ...]
-    # element -> match tree of its children, for every element whose children
-    # matched its content model; shred reads these instead of matching again
+    # element -> the decisions of its children's match (see _Automaton), for
+    # every element whose children matched its content model; shred replays
+    # these instead of matching again
     matches: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -636,9 +643,9 @@ def validate(document, schema: DtdSchema) -> ValidationReport:
                             violations=tuple(violations), matches=matches)
 
 
-# A match tree depends only on the element's tag and its children's names,
-# and it is frozen and indexes children by position, so every element of one
-# shape shares the tree of the first one matched. Only successful matches are
+# A match depends only on the element's tag and its children's names, and
+# its decisions name no child, so every element of one shape shares the
+# decisions of the first one matched. Only successful matches are
 # kept in `shapes`: a shape that fails is matched again at each element, which
 # gives each failure its own violation exactly as a first match would. A text
 # leaf (a declared #PCDATA element with no child elements) has nothing to
@@ -675,11 +682,11 @@ def _validate_tree(root, path, schema, out, matches):
 
         names = [c.tag for c in children]
         shape = (element.tag, tuple(names))
-        tree = shapes.get(shape)
-        if tree is None:
+        decisions = shapes.get(shape)
+        if decisions is None:
             fail = _Failure()
-            tree = automata[element.tag].match(names, fail)
-            if tree is None:
+            decisions = automata[element.tag].match(names, fail)
+            if decisions is None:
                 at = fail.pos if fail.pos >= 0 else len(names)
                 found = names[at] if at < len(names) else "end of children"
                 expected = ", ".join(sorted(fail.expected)) or render_model(model)
@@ -690,9 +697,9 @@ def _validate_tree(root, path, schema, out, matches):
                     expected=render_model(model),
                 ))
             else:
-                shapes[shape] = tree
-        if tree is not None:
-            matches[element] = tree
+                shapes[shape] = decisions
+        if decisions is not None:
+            matches[element] = decisions
 
         child_paths = None
         for k in range(len(children) - 1, -1, -1):  # pushed last to first

@@ -2,19 +2,20 @@
 
 A row is one form from shred to SQLite and back: a list of values in its
 table's column order, with the positions the mapper assigned (`ID`, `FK`,
-`POS`, and each layout node's column), so nothing here looks up a name.
-shred turns a validated element tree into rows by walking the layout each
-element's table carries and the match tree validation found for its
-children in lockstep. A leaf with a table of its own (the root, or a
-repeated leaf) fills that row's `value` column.
+`POS`, and each step's column), so nothing here looks up a name.
+shred and export run the same plan per element table (see mapper). In
+shred, the plan's leaves and tables take the element's children in
+order, and its choices and repeats take, in order, the decisions that
+validation recorded for the element's match. A leaf with a table of its
+own (the root, or a repeated leaf) fills that row's `value` column.
 load applies a RowSet to a store atomically, offsetting ids so documents
 accumulate; it inserts one batch per table, parents before children.
-export runs the schema's export plan, the layouts flattened once per
-schema with every line rendered ahead of time: a leaf costs one append of
-its open tag, escaped text and close tag, which is what makes round-trip
-checks byte-exact and cheap. It reads each table the plan reaches with one
-query per document, then serves every parent row its children, in `pos`
-order, from the tuples SQLite returns.
+export runs the plan with every line rendered ahead of time: a leaf costs
+one append of its open tag, escaped text and close tag, which is what
+makes round-trip checks byte-exact and cheap. A repeat's steps run once,
+as the rows carry the count. It reads each table the plan reaches with
+one query per document, then serves every parent row its children, in
+`pos` order, from the tuples SQLite returns.
 """
 
 from __future__ import annotations
@@ -24,22 +25,17 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 
-from .dtd import DtdSchema
+from .dtd import ITERATE, DtdSchema
 from .errors import IntegrityViolation, NotValidated, SchemaMismatch, UnknownId
 from .mapper import (
+    ALT,
     FK,
     GROUP,
     ID,
     LEAF,
     POS,
     TABLE,
-    Alt,
-    GroupTable,
-    LeafCol,
     RelationalSchema,
-    Seq,
-    TableRef,
-    TextCol,
     emit_ddl,
     quote,
 )
@@ -59,54 +55,58 @@ class RowSet:
 
 
 class _Shredder:
-    """One document walk. Context is (current row, its per-child position counters)."""
+    """One document's rows, filled by running the table plans over its elements."""
 
-    def __init__(self, rschema, matches, rows):
-        self.rschema = rschema
+    def __init__(self, matches, rows):
         self.matches = matches
         self.tables = rows.tables
 
-    def new_row(self, table, ctx):
+    def new_row(self, table, parent, counters):
+        """A fresh row of `table`, linked to `parent` (None for the root) at
+        the next position `counters` holds for that table."""
         rows = self.tables.setdefault(table.name, [])
         row = [None] * len(table.columns)
         row[ID] = len(rows) + 1
         rows.append(row)
-        if ctx is not None:
-            parent_row, counters = ctx
-            row[FK] = parent_row[ID]
+        if parent is not None:
+            row[FK] = parent[ID]
             row[POS] = counters[table.name] = counters.get(table.name, 0) + 1
         return row
 
-    def element(self, node, table, ctx):
-        row = self.new_row(table, ctx)
-        layout = table.layout
-        if isinstance(layout, TextCol):
-            row[layout.column] = node.text or ""
+    def element(self, plan, node, parent, counters):
+        table, body = plan[0], plan[4]
+        row = self.new_row(table, parent, counters)
+        if body.__class__ is int:   # a leaf table: the text goes on the row
+            row[body] = node.text or ""
             return
-        tree = self.matches.get(node)
-        if tree is None:
+        decisions = self.matches.get(node)
+        if decisions is None:
             raise NotValidated(f"the validation report holds no match for the "
                                f"children of a {table.element} element")
-        self.walk(layout, tree, list(node), (row, {}))
+        self.fill(body, row, {}, iter(node), iter(decisions))
 
-    def walk(self, layout, mtree, children, ctx):
-        row, _ = ctx
-        if isinstance(layout, LeafCol):
-            row[layout.column] = children[mtree.index].text or ""
-        elif isinstance(layout, TableRef):
-            self.element(children[mtree.index], self.rschema.table(layout.table), ctx)
-        elif isinstance(layout, GroupTable):
-            group = self.new_row(self.rschema.table(layout.table), ctx)
-            self.walk(layout.inner, mtree, children, (group, {}))
-        elif isinstance(layout, Seq):
-            for part, sub in zip(layout.parts, mtree.parts):
-                self.walk(part, sub, children, ctx)
-        elif isinstance(layout, Alt):
-            row[layout.column] = layout.tokens[mtree.alt]
-            self.walk(layout.alternatives[mtree.alt], mtree.inner, children, ctx)
-        else:  # Rep: one walk per iteration of the repetition
-            for iteration in mtree.iterations:
-                self.walk(layout.inner, iteration, children, ctx)
+    def fill(self, steps, row, counters, children, decisions):
+        """Run `steps` on `row`, taking the element's children and its
+        match's decisions in order."""
+        for step in steps:
+            kind = step[0]
+            if kind == LEAF:
+                row[step[1]] = next(children).text or ""
+            elif kind == TABLE:
+                self.element(step[1], next(children), row, counters)
+            elif kind == GROUP:
+                self.fill(step[2], self.new_row(step[1], row, counters), {},
+                          children, decisions)
+            elif kind == ALT:
+                _, column, alternatives, tokens = step
+                token = row[column] = tokens[next(decisions)]
+                self.fill(alternatives[token], row, counters, children, decisions)
+            else:   # REP: one run per iteration, and a "?" iterates at most once
+                _, once, inner = step
+                while next(decisions) == ITERATE:
+                    self.fill(inner, row, counters, children, decisions)
+                    if once:
+                        break
 
 
 def shred(document, schema: DtdSchema, rschema: RelationalSchema,
@@ -114,15 +114,14 @@ def shred(document, schema: DtdSchema, rschema: RelationalSchema,
     """Turn a validated element tree into rows.
 
     The ValidationReport for this exact tree must be supplied; shredding
-    follows the match trees it holds, so unvalidated input is refused.
+    replays the matches it holds, so unvalidated input is refused.
     """
     if report is None or report.document is not document:
         raise NotValidated()
     if not report.valid:
         raise NotValidated("document failed validation; refusing to shred it")
     rows = RowSet()
-    _Shredder(rschema, report.matches, rows).element(
-        document, rschema.table(rschema.root_table), None)
+    _Shredder(report.matches, rows).element(rschema.plan, document, None, None)
     return rows
 
 
@@ -277,7 +276,7 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
 
 
 class _Exporter:
-    """One document's rebuild: runs the export plan, appending its lines.
+    """One document's rebuild: runs the table plans, appending their lines.
     Each table is read once, when the plan first reaches it, and its rows
     are kept grouped by parent id."""
 
@@ -335,8 +334,8 @@ class _Exporter:
                 _, group, inner = step
                 for child in self.select(group, row[ID]):
                     self.write(inner, group, child)
-            else:   # ALT
-                _, column, alternatives = step
+            elif kind == ALT:
+                _, column, alternatives, _ = step
                 token = row[column]
                 if token is None:
                     continue
@@ -346,15 +345,36 @@ class _Exporter:
                         f"{table.name}.{table.columns[column].name} holds {token!r}, "
                         f"which names no alternative of the choice")
                 self.write(inner, table, row)
+            else:   # REP: its steps once, as the rows carry the count
+                self.write(step[2], table, row)
+
+
+def _blob_column(rschema, root_row, children):
+    """`table.column` of the first BLOB among the rows an export read, or None."""
+    for table in rschema.tables:
+        by_parent = {None: [root_row]} if table.fk is None else children.get(table.name, {})
+        for rows in by_parent.values():
+            for row in rows:
+                for column, value in zip(table.columns, row):
+                    if isinstance(value, bytes):
+                        return f"{table.name}.{column.name}"
+    return None
 
 
 def export(store: OdsStore, object_id: int, schema: DtdSchema,
            rschema: RelationalSchema, system_id: str = DEFAULT_SYSTEM_ID) -> str:
     """Rebuild one loaded document and render it canonically."""
-    plan = rschema.export_plan
+    plan = rschema.plan
     row = store.conn.execute(plan[0].select, (object_id,)).fetchone()
     if row is None:
         raise UnknownId(rschema.root_table, object_id)
     exporter = _Exporter(store.conn, rschema.root_table, object_id)
-    exporter.element(plan, row)
+    try:
+        exporter.element(plan, row)
+    except TypeError:
+        # escaping met a value that is not text: a BLOB put in the store by hand
+        where = _blob_column(rschema, row, exporter.children)
+        if where is None:
+            raise
+        raise IntegrityViolation(f"{where} holds a BLOB, not text") from None
     return exporter.out.document(rschema.root_element, system_id)

@@ -4,14 +4,15 @@ Every complex element becomes a table, and so does every repeated leaf:
 its table holds one row per occurrence, with the text in a `value`
 column. A leaf occurring at most once becomes a column on its parent's
 row; choices become discriminator columns; repeated groups become
-synthetic tables. Each element table carries its layout, a tree that
-mirrors the element's content model node for node and says where each
-part lives relationally; the shredder walks it. For export, each layout is
-flattened once per schema into a plan of steps whose lines are rendered
-ahead of time. The mapping only works for tree-shaped DTDs: an element
-stored in two places would need two parent links, so sharing reports a
-NameCollision; that is also what gives every element one indentation.
-Names go into SQL bare where SQLite allows, else quoted.
+synthetic tables. Each element table is compiled once, while it is
+created, into its plan: (table, open line, close line, empty line, body).
+A leaf table's body is its text column; any other's is a list of steps,
+in content-model order, saying where each part lives relationally, with
+every line rendered ahead of time. Shred and export both run the plans.
+The mapping only works for tree-shaped DTDs: an element stored in two
+places would need two parent links, so sharing reports a NameCollision;
+that is also what gives every element one indentation. Names go into SQL
+bare where SQLite allows, else quoted.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class Table:
     fk: str | None = None
     single_per_parent: bool = False
     columns: list = field(default_factory=list)
-    layout: object = None        # an element table's layout, None for synthetic
 
     def column_names(self):
         return [c.name for c in self.columns]
@@ -85,60 +85,13 @@ class Table:
         return f"{head} WHERE {quote(self.fk)} BETWEEN ? AND ? ORDER BY {quote(self.fk)}, pos"
 
 
-# Layout nodes. One per content-model node; each says where that part of
-# the model lives relationally.
-
-@dataclass(frozen=True)
-class TextCol:
-    """Text content of a leaf element, held on its own table's row."""
-    column: int
-
-
-@dataclass(frozen=True)
-class LeafCol:
-    """Leaf element occurring at most once: a column on the current row."""
-    element: str
-    column: int
-
-
-@dataclass(frozen=True)
-class TableRef:
-    """Element with a table of its own: its rows linked to the current row."""
-    table: str
-
-
-@dataclass(frozen=True)
-class GroupTable:
-    """Repeated group: one row per iteration, content laid out on that row."""
-    table: str
-    inner: object
-
-
-@dataclass(frozen=True)
-class Seq:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Alt:
-    """Choice: the discriminator column holds the chosen alternative's token."""
-    column: int
-    tokens: tuple
-    alternatives: tuple
-
-
-@dataclass(frozen=True)
-class Rep:
-    """Repetition or option: cardinality lives in the rows, not the layout."""
-    inner: object
-
-
 @dataclass(frozen=True)
 class RelationalSchema:
     tables: tuple
     by_name: dict
     root_element: str
     root_table: str
+    plan: tuple = field(repr=False, compare=False)   # the root table's plan
 
     def table(self, name: str) -> Table:
         return self.by_name[name]
@@ -148,34 +101,6 @@ class RelationalSchema:
         """One SELECT of every table's largest id."""
         return "SELECT " + ", ".join(f"(SELECT COALESCE(MAX(id), 0) FROM {t.quoted})"
                                      for t in self.tables)
-
-    @cached_property
-    def export_plan(self) -> tuple:
-        """The root table's plan: (table, open line, close line, empty line,
-        body), lines rendered at the table's one depth. A leaf table's body
-        is its text column and its close line the close tag; any other's is
-        its layout as steps: Seq spliced, Rep dropped (rows carry the counts)."""
-        return self._plan(self.table(self.root_table), "")
-
-    def _plan(self, table, pad) -> tuple:
-        open_line, close, empty = tag_lines(table.element, pad)
-        if isinstance(table.layout, TextCol):
-            return table, open_line, close, empty, table.layout.column
-        return table, open_line, pad + close, empty, self._steps(table.layout, pad + INDENT)
-
-    def _steps(self, layout, pad) -> list:
-        if isinstance(layout, LeafCol):
-            return [(LEAF, layout.column, *tag_lines(layout.element, pad))]
-        if isinstance(layout, TableRef):
-            return [(TABLE, self._plan(self.table(layout.table), pad))]
-        if isinstance(layout, GroupTable):
-            return [(GROUP, self.table(layout.table), self._steps(layout.inner, pad))]
-        if isinstance(layout, Alt):
-            return [(ALT, layout.column, {token: self._steps(alt, pad) for token, alt
-                                          in zip(layout.tokens, layout.alternatives)})]
-        if isinstance(layout, Rep):
-            return self._steps(layout.inner, pad)
-        return [step for part in layout.parts for step in self._steps(part, pad)]
 
 
 def _alt_token(model) -> str:
@@ -189,8 +114,11 @@ def _alt_token(model) -> str:
 # Positions of the leading columns in every row: the id, then, on a table
 # that link() ties to a parent, the parent's id and the sibling position.
 ID, FK, POS = 0, 1, 2
-# Kinds of export plan step; each step is a tuple that starts with its kind
-LEAF, TABLE, GROUP, ALT = range(4)
+# Kinds of plan step; each step is a tuple that starts with its kind:
+# (LEAF, column, open, close, empty), (TABLE, plan), (GROUP, table, steps),
+# (ALT, column, {token: steps}, tokens) and (REP, once, steps), where `once`
+# marks a "?" and the rows carry a repeat's count
+LEAF, TABLE, GROUP, ALT, REP = range(5)
 
 # Deepest nesting of model nodes and element tables: mapping, shred and export
 # recurse about two frames a level, and a model may nest two nodes a group.
@@ -232,7 +160,9 @@ class _Builder:
         self.add_column(table, table.fk, "integer", f"link to {parent.name}")
         self.add_column(table, "pos", "integer", "sibling order")
 
-    def element_table(self, name, parent: Table | None, single: bool, depth) -> Table:
+    def element_table(self, name, parent: Table | None, single: bool, depth, pad) -> tuple:
+        """Create the table of element `name`, written at indentation `pad`,
+        and return its plan."""
         model = self.schema.elements[name]
         leaf = isinstance(model, PCData)
         # below the root, a leaf gets a table only when it repeats
@@ -242,12 +172,12 @@ class _Builder:
         self.add_column(table, "id", "integer", "surrogate key")
         if parent is not None:
             self.link(table, parent)
+        open_line, close, empty = tag_lines(name, pad)
         if leaf:
-            table.layout = TextCol(
-                self.add_column(table, "value", "text", f"text of {name}"))
-        else:
-            table.layout = self.compile(model, table, depth + 1)
-        return table
+            return table, open_line, close, empty, self.add_column(
+                table, "value", "text", f"text of {name}")
+        return (table, open_line, pad + close, empty,
+                self.compile(model, table, depth + 1, pad + INDENT))
 
     def group_table(self, parent: Table) -> Table:
         k = self.group_count.get(parent.name, 0) + 1
@@ -258,47 +188,52 @@ class _Builder:
         self.link(table, parent)
         return table
 
-    def compile(self, model, table: Table, depth):
-        """Lay the model out on `table`, creating child tables as needed."""
+    def compile(self, model, table: Table, depth, pad) -> list:
+        """Lay the model out on `table`, creating child tables as needed;
+        returns its steps, with the lines of its elements at `pad`."""
         if depth > MAX_NESTING:
             raise DtdError(f"elements and groups nest more than {MAX_NESTING} "
                            f"levels deep below {self.schema.root}")
         if isinstance(model, ElementRef):
-            return self.place(model.name, table, depth + 1, single=True)
+            return self.place(model.name, table, depth + 1, pad, single=True)
         if isinstance(model, Choice):
             k = self.choice_count.get(table.name, 0) + 1
             self.choice_count[table.name] = k
             column = self.add_column(table, f"choice{k}", "text",
                                      f"choice {k} discriminator")
-            alts = tuple(self.compile(a, table, depth + 1) for a in model.alternatives)
+            alts = [self.compile(a, table, depth + 1, pad) for a in model.alternatives]
             tokens = tuple(_alt_token(a) for a in model.alternatives)
-            return Alt(column, tokens, alts)
+            return [(ALT, column, dict(zip(tokens, alts)), tokens)]
         if isinstance(model, Repeat):
             if model.mult == "?":
-                return Rep(self.compile(model.inner, table, depth + 1))
+                return [(REP, True, self.compile(model.inner, table, depth + 1, pad))]
             if isinstance(model.inner, ElementRef):
-                return Rep(self.place(model.inner.name, table, depth + 1, single=False))
+                return [(REP, False, self.place(model.inner.name, table, depth + 1, pad,
+                                                single=False))]
             group = self.group_table(table)
-            return Rep(GroupTable(group.name, self.compile(model.inner, group, depth + 1)))
-        # Sequence; PCData cannot appear inside element content
-        return Seq(tuple(self.compile(p, table, depth + 1) for p in model.parts))
+            return [(REP, False, [(GROUP, group, self.compile(model.inner, group,
+                                                              depth + 1, pad))])]
+        # Sequence, spliced; PCData cannot appear inside element content
+        return [step for part in model.parts
+                for step in self.compile(part, table, depth + 1, pad)]
 
-    def place(self, name, table: Table, depth, single: bool):
+    def place(self, name, table: Table, depth, pad, single: bool) -> list:
         """A reference to element `name` occurring on rows of `table`."""
         if single and self.schema.is_leaf(name):
-            return LeafCol(name, self.add_column(table, name.lower(), "text",
-                                                 f"leaf {name}"))
-        return TableRef(self.element_table(name, table, single, depth).name)
+            column = self.add_column(table, name.lower(), "text", f"leaf {name}")
+            return [(LEAF, column, *tag_lines(name, pad))]
+        return [(TABLE, self.element_table(name, table, single, depth, pad))]
 
 
 def map_schema(schema: DtdSchema) -> RelationalSchema:
     """Compile the DTD into tables, depth-first from the root element."""
     builder = _Builder(schema)
-    builder.element_table(schema.root, None, False, 0)
+    plan = builder.element_table(schema.root, None, False, 0, "")
     return RelationalSchema(tables=tuple(builder.tables),
                             by_name=builder.by_name,
                             root_element=schema.root,
-                            root_table=schema.root.lower())
+                            root_table=schema.root.lower(),
+                            plan=plan)
 
 
 def emit_ddl(rschema: RelationalSchema) -> str:

@@ -1,4 +1,4 @@
-"""XML documents for complex objects: emit, parse, rebuild.
+"""XML documents for complex objects: emit and parse.
 
 Emitting walks the object once and appends each element's line, in the
 order mlfd.dtd declares them; the object model mirrors that DTD, so no
@@ -234,93 +234,3 @@ def parse_document(text: str) -> Document:
                 + ", ".join(sorted(element.attrib)))
     doctype = _DOCTYPE.match(text)
     return Document(root=root, doctype=doctype and doctype.group(1))
-
-
-# -- reconstruction -------------------------------------------------------------------
-
-
-def _text(element) -> str:
-    return element.text or ""
-
-
-def _opt(element) -> str | None:
-    """Empty element -> None; used for fields the extractors leave unset."""
-    return element.text if element.text else None
-
-
-def to_object(root: ET.Element) -> m.ComplexObject:
-    """Rebuild the typed object from a valid document tree.
-
-    Empty FORMAT/COMPRESSION/RESOLUTION elements map back to unset fields,
-    mirroring how missing values are emitted.
-    """
-    subdocs = []
-    for sub in root.findall("SUBDOCUMENT"):
-        language = sub.find("LANGUAGE")
-        payload = _payload_from(sub)
-        subdocs.append(m.Subdocument(
-            doc_name=_text(sub.find("DOC_NAME")),
-            size=int(_text(sub.find("SIZE"))),
-            location=_text(sub.find("LOCATION")),
-            payload=payload,
-            language=None if language is None else _text(language),
-            keywords=tuple(_text(k) for k in sub.findall("KEYWORD")),
-            type=_text(sub.find("TYPE")),
-        ))
-    return m.make_complex_object(
-        name=_text(root.find("OBJ_NAME")),
-        date=_text(root.find("DATE")),
-        source=_text(root.find("SOURCE")),
-        subdocuments=subdocs,
-    )
-
-
-def _payload_from(sub: ET.Element):
-    text = sub.find("TEXT")
-    if text is not None:
-        plain = text.find("PLAIN_TEXT")
-        if plain is not None:
-            body = m.PlainText(_text(plain))
-        else:
-            tagged = text.find("TAGGED_TEXT")
-            body = m.TaggedText(
-                content=_text(tagged.find("CONTENT")),
-                links=tuple(_text(l) for l in tagged.findall("LINK")),
-            )
-        return m.TextPayload(nb_char=int(_text(text.find("NB_CHAR"))),
-                             nb_lines=int(_text(text.find("NB_LINES"))),
-                             body=body)
-    view = sub.find("RELATIONAL_VIEW")
-    if view is not None:
-        query = view.find("QUERY")
-        attributes = tuple(
-            m.Attribute(att_name=_text(a.find("ATT_NAME")),
-                        domain=_text(a.find("DOMAIN")))
-            for a in view.findall("ATTRIBUTE"))
-        tuples = []
-        for t in view.findall("TUPLE"):
-            cells = list(t)
-            pairs = zip(cells[0::2], cells[1::2])
-            tuples.append(m.ViewTuple(tuple(
-                m.Cell(att_name_ref=_text(ref), value=_text(val))
-                for ref, val in pairs)))
-        return m.RelationalView(attributes=attributes, tuples=tuple(tuples),
-                                query=None if query is None else _text(query))
-    image = sub.find("IMAGE")
-    if image is not None:
-        return m.ImageMeta(
-            length=int(_text(image.find("LENGTH"))),
-            width=int(_text(image.find("WIDTH"))),
-            format=_opt(image.find("FORMAT")),
-            compression=_opt(image.find("COMPRESSION")),
-            resolution=_opt(image.find("RESOLUTION")),
-        )
-    continuous = sub.find("CONTINUOUS")
-    if continuous is not None:
-        sound = continuous.find("SOUND")
-        media = (m.Sound(_text(sound)) if sound is not None
-                 else m.Video(_text(continuous.find("VIDEO"))))
-        return m.ContinuousMeta(duration=_text(continuous.find("DURATION")),
-                                speed=_text(continuous.find("SPEED")),
-                                media=media)
-    raise ModelViolation("subdocument carries no recognizable payload element")

@@ -1,4 +1,5 @@
 import os
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,8 @@ from imagegen import make_gif, make_png
 from multiform.cli import main
 from multiform.dtd import builtin_schema
 from multiform.mapper import emit_ddl, map_schema
-from multiform.xmldoc import parse_document, to_object
+from multiform.xmldoc import parse_document
+from oracle import to_object
 
 SIDECAR = """\
 name: Surf
@@ -430,6 +432,19 @@ def test_a_table_the_csv_reader_rejects_is_an_input_error(workdir, capsys):
     put(workdir, "cr.csv", b"a\rb,c\n1,2\n")
     assert main(["ingest", "cr.csv", "--out", "cr.xml"]) == 2
     assert "'cr.csv' line 1: new-line character seen" in one_line_error(capsys)
+
+
+def test_a_blob_in_a_text_column_is_an_integrity_error(workdir, capsys):
+    put(workdir, "s.txt", "once\n")
+    assert main(["ingest", "s.txt", "--out", "s.xml"]) == 0
+    assert main(["load", "s.xml", "--db", "b.db"]) == 0
+    with sqlite3.connect(workdir / "b.db") as conn:
+        conn.execute("UPDATE text SET plain_text = X'41'")
+    conn.close()
+    capsys.readouterr()
+    assert main(["export", "--db", "b.db", "--id", "1"]) == 2
+    assert one_line_error(capsys) == \
+        "multiform: error: text.plain_text holds a BLOB, not text"
 
 
 def test_export_missing_store(workdir):

@@ -582,8 +582,9 @@ def test_round_trip_identity_over_generated_documents(schema, rschema):
             assert export(store, i + 1, schema, rschema) == text
 
 
-# Each small schema holds one layout case the bundled DTD and library.dtd
-# lack; every leaf named K, L or V is repeated, so it gets a table of its own.
+# Each small schema holds one case of the table plan, or of the decisions
+# a match records, that the bundled DTD and library.dtd lack; every leaf
+# named K, L or V is repeated, so it gets a table of its own.
 SECOND_SCHEMAS = {
     "library": None,
     "leaf-root": "<!ELEMENT NOTE (#PCDATA)>",
@@ -596,6 +597,14 @@ SECOND_SCHEMAS = {
                        "<!ELEMENT V (#PCDATA)>",
     "choice-of-repeated-leaves": "<!ELEMENT R (K* | L+)>\n"
                                  "<!ELEMENT K (#PCDATA)>\n<!ELEMENT L (#PCDATA)>",
+    "greedy-repeat-gives-one-back": "<!ELEMENT R (B*, B)>\n<!ELEMENT B (#PCDATA)>",
+    "optional-sequence": "<!ELEMENT R (A, B)?>\n"
+                         "<!ELEMENT A (#PCDATA)>\n<!ELEMENT B (#PCDATA)>",
+    "choice-of-an-optional": "<!ELEMENT R (A | B?)>\n"
+                             "<!ELEMENT A (#PCDATA)>\n<!ELEMENT B (#PCDATA)>",
+    "repeated-group-with-an-optional-choice":
+        "<!ELEMENT R ((A | B)?, C)*>\n<!ELEMENT A (#PCDATA)>\n"
+        "<!ELEMENT B (#PCDATA)>\n<!ELEMENT C (#PCDATA)>",
 }
 
 
@@ -617,6 +626,13 @@ def test_round_trip_identity_on_a_second_schema(data_dir, name):
             load(shred(document, schema, rschema, report), store)
             assert export(store, i + 1, schema, rschema,
                           system_id=system_id) == text
+
+
+def test_a_greedy_repeat_gives_the_last_element_to_the_sequence():
+    schema = parse_dtd(SECOND_SCHEMAS["greedy-repeat-gives-one-back"])
+    rschema = map_schema(schema)
+    rows = shredded("<R><B>1</B><B>2</B><B>3</B></R>", schema, rschema)
+    assert rows.tables == {"r": [[1, "3"]], "b": [[1, 1, 1, "1"], [2, 1, 2, "2"]]}
 
 
 def test_exports_from_schemas_mapped_and_dropped_in_turn_stay_apart(data_dir):

@@ -14,7 +14,8 @@ from multiform.loader import OdsStore, export, load, shred
 from multiform.mapper import map_schema
 from multiform.model import ImageMeta, Subdocument, make_complex_object
 from multiform.sidecar import parse_sidecar
-from multiform.xmldoc import format_document, parse_document, serialize, to_object
+from multiform.xmldoc import format_document, parse_document, serialize
+from oracle import to_object
 
 # every character XML 1.0 allows in text (the Char production, section 2.2);
 # the serializer writes \r as a character reference so that it survives the
@@ -90,9 +91,9 @@ def test_every_reported_match_is_the_match_of_its_element(schema, seed):
         if report.valid:
             assert set(report.matches) == {
                 e for e in tree.iter() if not schema.is_leaf(e.tag)}
-        for element, mtree in report.matches.items():
-            assert mtree == match_children(schema.elements[element.tag],
-                                           [c.tag for c in element])
+        for element, decisions in report.matches.items():
+            assert schema._automata[element.tag].tree(decisions) == match_children(
+                schema.elements[element.tag], [c.tag for c in element])
 
 
 # Element names SQLite reads as keywords or cannot take bare, names it
