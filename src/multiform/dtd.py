@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
-from itertools import count
 
 from .errors import (
     DtdSyntaxError,
@@ -270,8 +269,9 @@ def parse_dtd(text: str) -> DtdSchema:
     """Parse element declarations into a schema.
 
     The root is the first declared element no other element references.
+    A leading byte order mark is skipped.
     """
-    decls = _Parser(text).parse()
+    decls = _Parser(text.removeprefix("\ufeff")).parse()
     elements = {}
     order = []
     for name, model, line in decls:
@@ -350,27 +350,6 @@ def format_dtd(schema: DtdSchema) -> str:
 # -- content model matching ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MRef:
-    index: int
-
-
-@dataclass(frozen=True)
-class MSeq:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class MChoice:
-    alt: int
-    inner: object
-
-
-@dataclass(frozen=True)
-class MRep:
-    iterations: tuple
-
-
 def nullable(model) -> bool:
     if isinstance(model, ElementRef):
         return False
@@ -414,9 +393,15 @@ class _Failure:
 # A thread records the decisions its path took, in the order a left-to-right
 # walk of the model meets them: the index of each alternative chosen, and
 # before each iteration of a repeat whether it iterates (ITERATE) or stops
-# (STOP); a "?" decides once. The match is that flat tuple of decisions:
-# shred replays it over the element's table plan, and tree() over the model.
-# A model without choices or repeats matches with no decisions at all, ().
+# (STOP); a "?" decides once. The match is that flat tuple of decisions, and
+# shred replays it over the element's table plan. A model without choices or
+# repeats matches with no decisions at all, ().
+#
+# While the automaton is built and run, decisions are kept as chains of pairs,
+# (last decision, earlier chain) with () for none, and match() flattens one
+# into the tuple at the end. Paths that share a prefix share its storage, so
+# each transition costs a constant: a tuple per transition would make the
+# automaton of (E0?, ..., En?) hold O(n^3) decisions.
 
 STOP, ITERATE = 0, 1
 _ENTER, _EXIT = 0, 1
@@ -439,7 +424,6 @@ class _Automaton:
     """A content model compiled for matching; see match()."""
 
     def __init__(self, model):
-        self.model = model
         # number the model's nodes breadth first; the lists grow as they are read
         models, parents, slots, kids = [model], [-1], [0], []
         for n, node in enumerate(models):
@@ -470,12 +454,12 @@ class _Automaton:
                     if isinstance(node, Sequence):
                         nxt = [(_ENTER, kids[n][0], fresh, taken)]
                     elif isinstance(node, Choice):
-                        nxt = [(_ENTER, kid, fresh, taken + (k,))
+                        nxt = [(_ENTER, kid, fresh, (k, taken))
                                for k, kid in enumerate(kids[n])]
                     else:
-                        nxt = [(_ENTER, kids[n][0], fresh | {n}, taken + (ITERATE,))]
+                        nxt = [(_ENTER, kids[n][0], fresh | {n}, (ITERATE, taken))]
                         if node.mult != "+" or nullable(node.inner):
-                            nxt.append((_EXIT, n, fresh, taken + (STOP,)))
+                            nxt.append((_EXIT, n, fresh, (STOP, taken)))
                 else:
                     up = parents[n]
                     if up < 0:
@@ -491,13 +475,13 @@ class _Automaton:
                     elif parent.mult == "?":
                         nxt = [(_EXIT, up, fresh, taken)]
                     else:
-                        nxt = [(_ENTER, n, fresh | {up}, taken + (ITERATE,)),
-                               (_EXIT, up, fresh, taken + (STOP,))]
+                        nxt = [(_ENTER, n, fresh | {up}, (ITERATE, taken)),
+                               (_EXIT, up, fresh, (STOP, taken))]
                 stack.extend(reversed(nxt))
             return arrivals
 
-        # per state: child name -> [(next state, decisions)], best first, and
-        # the decisions that end the model there (None if it cannot end there)
+        # per state: child name -> [(next state, decision chain)], best first,
+        # and the chain that ends the model there (None if it cannot end there)
         self.steps, self.accept = {}, {}
         starts = [(_START, (_ENTER, 0, frozenset(), ()))]
         starts.extend((n, (_EXIT, n, frozenset(), ()))
@@ -517,7 +501,8 @@ class _Automaton:
         got past and every name, or "end of children", that was expected
         there.
         """
-        # threads: (state, decisions so far as a linked list), best first
+        # threads: (state, the decision chains of its steps as a linked list,
+        # last first), best first
         threads = [(_START, None)]
         for at, name in enumerate(names):
             advanced = []
@@ -533,11 +518,14 @@ class _Automaton:
         for state, path in threads:
             taken = self.accept[state]
             if taken is not None:
-                chunks = [taken]
-                while path is not None:
+                decisions = []   # collected last to first
+                while True:
+                    while taken:
+                        d, taken = taken
+                        decisions.append(d)
+                    if path is None:
+                        return tuple(reversed(decisions))
                     taken, path = path
-                    chunks.append(taken)
-                return tuple([d for taken in reversed(chunks) for d in taken])
         return self._fail(threads, len(names), len(names), fail)
 
     def _fail(self, threads, at, total, fail):
@@ -548,39 +536,6 @@ class _Automaton:
                 if at < total and self.accept[state] is not None:
                     fail.note(at, "end of children")
         return None
-
-    def tree(self, decisions):
-        """The match tree that match()'s decisions describe."""
-        decisions = iter(decisions)
-        index = count()
-
-        def build(model):
-            if isinstance(model, ElementRef):
-                return MRef(next(index))
-            if isinstance(model, Sequence):
-                return MSeq(tuple([build(part) for part in model.parts]))
-            if isinstance(model, Choice):
-                k = next(decisions)
-                return MChoice(k, build(model.alternatives[k]))
-            iterations = []
-            while next(decisions) == ITERATE:
-                iterations.append(build(model.inner))
-                if model.mult == "?":
-                    break
-            return MRep(tuple(iterations))
-
-        return build(self.model)
-
-
-def match_children(model, names, fail=None):
-    """First full match of the child name sequence, or None.
-
-    "First" is the match a backtracking search would find first: repeats
-    greedy, alternatives in order, no zero-width iterations.
-    """
-    automaton = _Automaton(model)
-    decisions = automaton.match(names, fail)
-    return None if decisions is None else automaton.tree(decisions)
 
 
 # -- validation -------------------------------------------------------------------

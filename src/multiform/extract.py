@@ -226,13 +226,16 @@ def ingest_relational_view(data_path: str,
 
     Attribute domains come from sidecar ``domain.<att_name>`` entries and
     default to "string". With intention_only the data rows are dropped and
-    only the attributes (and query) are kept.
+    only the attributes (and query) are kept. A leading byte order mark is
+    skipped, and a cell may be as long as the file.
     """
     suffix = PurePath(data_path).suffix.lower()
     if suffix not in (".csv", ".tsv"):
         raise UnknownExtension(data_path, ["csv", "tsv"])
     delimiter = "\t" if suffix == ".tsv" else ","
-    text = read_text(data_path)
+    text = read_text(data_path).removeprefix("\ufeff")
+    # the limit is process-wide: raise it to fit this text, never lower it
+    csv.field_size_limit(max(csv.field_size_limit(), len(text)))
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     try:
         rows = list(reader)

@@ -93,9 +93,6 @@ class RelationalSchema:
     root_table: str
     plan: tuple = field(repr=False, compare=False)   # the root table's plan
 
-    def table(self, name: str) -> Table:
-        return self.by_name[name]
-
     @cached_property
     def offsets(self) -> str:
         """One SELECT of every table's largest id."""

@@ -54,12 +54,12 @@ def parse_sidecar(text: str) -> SidecarRecord:
     """Parse sidecar text into a record.
 
     Repeated scalar keys keep the last value; repeated ``keyword`` lines
-    accumulate in order.
+    accumulate in order. A leading byte order mark is skipped.
     """
     keywords: list[str] = []
     scalars: dict[str, str] = {}
     domains: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

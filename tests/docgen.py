@@ -10,13 +10,11 @@ import copy
 import xml.etree.ElementTree as ET
 
 from multiform.dtd import (
+    ITERATE,
     Choice,
     ElementRef,
-    MChoice,
-    MSeq,
     PCData,
     Sequence,
-    match_children,
     nullable,
 )
 
@@ -91,18 +89,27 @@ def drop_required(document, schema, rng):
     return mutant
 
 
-def _single_choices(model, mtree, out):
-    """Indexes of children matched by a choice that allows exactly one element."""
-    if isinstance(mtree, MSeq):
-        for part, sub in zip(model.parts, mtree.parts):
-            _single_choices(part, sub, out)
-    elif isinstance(mtree, MChoice):
-        chosen = model.alternatives[mtree.alt]
+def _single_choices(model, decisions, index, out):
+    """Walk model along its match's decisions from child `index`, noting the
+    index of each child matched by a choice that allows exactly one element;
+    returns the index of the first child after the model."""
+    if isinstance(model, ElementRef):
+        return index + 1
+    if isinstance(model, Sequence):
+        for part in model.parts:
+            index = _single_choices(part, decisions, index, out)
+        return index
+    if isinstance(model, Choice):
+        chosen = model.alternatives[next(decisions)]
         if isinstance(chosen, ElementRef):
-            out.append(mtree.inner.index)
-        else:
-            _single_choices(chosen, mtree.inner, out)
-    # MRep iterations are repeatable ground, duplicates there can stay valid
+            out.append(index)
+        return _single_choices(chosen, decisions, index, out)
+    # repeat iterations are repeatable ground, duplicates there can stay valid
+    while next(decisions) == ITERATE:
+        index = _single_choices(model.inner, decisions, index, [])
+        if model.mult == "?":
+            break
+    return index
 
 
 def duplicate_choice(document, schema, rng):
@@ -116,9 +123,9 @@ def duplicate_choice(document, schema, rng):
         model = schema.elements.get(element.tag)
         if model is None or isinstance(model, PCData):
             continue
-        tree = match_children(model, [c.tag for c in element])
+        decisions = schema._automata[element.tag].match([c.tag for c in element])
         spots = []
-        _single_choices(model, tree, spots)
+        _single_choices(model, iter(decisions), 0, spots)
         candidates.extend((k, index) for index in spots)
     if not candidates:
         return drop_required(document, schema, rng)

@@ -2,11 +2,12 @@
 
 The recursive backtracker yields every way a content model matches a run
 of child names, in the order a backtracking search tries them: repeats
-greedy, alternatives in order, zero-width iterations skipped. The first
-full match is the answer, and a failure reports the deepest position
-reached with the names expected there. Its recursion depth grows with the
-number of children and its time can be exponential, so it serves only as
-the oracle that `multiform.dtd`'s position automaton is compared against.
+greedy, alternatives in order, zero-width iterations skipped. Each way is
+given as the decisions that choose it. The first full match is the answer,
+and a failure reports the deepest position reached with the names expected
+there. Its recursion depth grows with the number of children and its time
+can be exponential, so it serves only as the oracle that `multiform.dtd`'s
+position automaton is compared against.
 
 The schema-driven serializer maps an object to value nodes and orders each
 element's children by walking its content model, filling a missing leaf
@@ -22,12 +23,10 @@ from xml.etree import ElementTree as ET
 
 from multiform import model as m
 from multiform.dtd import (
+    ITERATE,
+    STOP,
     Choice,
     ElementRef,
-    MChoice,
-    MRef,
-    MRep,
-    MSeq,
     PCData,
     Repeat,
     Sequence,
@@ -53,10 +52,15 @@ class Failure:
 
 
 def matches(model, names, pos, fail):
-    """Yield (end position, match tree) for every way model matches names[pos:]."""
+    """Yield (end position, decisions) for every way model matches names[pos:].
+
+    The decisions are those `multiform.dtd` records, in model order: the index
+    of each alternative chosen, and ITERATE or STOP before each iteration of
+    a repeat ("?" decides once).
+    """
     if isinstance(model, ElementRef):
         if pos < len(names) and names[pos] == model.name:
-            yield pos + 1, MRef(pos)
+            yield pos + 1, ()
         else:
             fail.note(pos, model.name)
     elif isinstance(model, Sequence):
@@ -64,42 +68,41 @@ def matches(model, names, pos, fail):
             if k == len(model.parts):
                 yield at, ()
                 return
-            for p1, t1 in matches(model.parts[k], names, at, fail):
+            for p1, d1 in matches(model.parts[k], names, at, fail):
                 for p2, rest in seq(k + 1, p1):
-                    yield p2, (t1,) + rest
-        for end, parts in seq(0, pos):
-            yield end, MSeq(parts)
+                    yield p2, d1 + rest
+        yield from seq(0, pos)
     elif isinstance(model, Choice):
         for k, alt in enumerate(model.alternatives):
-            for end, tree in matches(alt, names, pos, fail):
-                yield end, MChoice(k, tree)
+            for end, taken in matches(alt, names, pos, fail):
+                yield end, (k,) + taken
     elif isinstance(model, Repeat):
         if model.mult == "?":
-            for end, tree in matches(model.inner, names, pos, fail):
+            for end, taken in matches(model.inner, names, pos, fail):
                 if end > pos:
-                    yield end, MRep((tree,))
-            yield pos, MRep(())
+                    yield end, (ITERATE,) + taken
+            yield pos, (STOP,)
         else:
             def reps(at, acc):
-                for end, tree in matches(model.inner, names, at, fail):
+                for end, taken in matches(model.inner, names, at, fail):
                     if end > at:  # zero-width iterations add nothing
-                        yield from reps(end, acc + (tree,))
+                        yield from reps(end, acc + (ITERATE,) + taken)
                 yield at, acc
             allow_empty = model.mult == "*" or nullable(model.inner)
             for end, acc in reps(pos, ()):
                 if acc or allow_empty:
-                    yield end, MRep(acc)
+                    yield end, acc + (STOP,)
     else:
         raise TypeError(f"cannot match against {model!r}")
 
 
 def match_children(model, names, fail=None):
-    """First full match of the child name sequence, or None."""
+    """Decisions of the first full match of the child name sequence, or None."""
     if fail is None:
         fail = Failure()
-    for end, tree in matches(model, names, 0, fail):
+    for end, decisions in matches(model, names, 0, fail):
         if end == len(names):
-            return tree
+            return decisions
         fail.note(end, "end of children")
     return None
 

@@ -144,6 +144,16 @@ def test_schema_for_a_custom_dtd(workdir, data_dir, capsys):
     assert "CREATE TABLE author " in out
 
 
+def test_schema_reads_a_dtd_that_starts_with_a_byte_order_mark(workdir, data_dir,
+                                                               capsys):
+    dtd = (data_dir / "library.dtd").read_bytes()
+    put(workdir, "bom.dtd", b"\xef\xbb\xbf" + dtd)
+    assert main(["schema", "--dtd", "bom.dtd"]) == 0
+    with_bom = capsys.readouterr().out
+    assert main(["schema", "--dtd", str(data_dir / "library.dtd")]) == 0
+    assert with_bom == capsys.readouterr().out
+
+
 def test_schema_out_flag_writes_a_file(workdir):
     assert main(["schema", "--out", "ddl.sql"]) == 0
     assert (workdir / "ddl.sql").read_text().endswith(";\n")
@@ -386,6 +396,18 @@ def test_a_2000_row_view_goes_through_every_command(workdir, capsys):
     assert main(["validate", "big.xml"]) == 0
     assert main(["load", "big.xml", "--db", "ods.db"]) == 0
     assert "tuple: 2000" in capsys.readouterr().out.splitlines()
+    assert main(["export", "--db", "ods.db", "--id", "1",
+                 "--out", "back.xml"]) == 0
+    assert (workdir / "back.xml").read_bytes() == \
+        (workdir / "big.xml").read_bytes()
+
+
+def test_a_cell_past_the_csv_default_limit_goes_through_every_command(workdir):
+    # the csv module refuses a field over 131,072 characters by default
+    put(workdir, "big.csv", "k,v\n1," + "x" * 200_000 + "\n")
+    assert main(["ingest", "big.csv", "--date", "2002-06-15",
+                 "--out", "big.xml"]) == 0
+    assert main(["load", "big.xml", "--db", "ods.db"]) == 0
     assert main(["export", "--db", "ods.db", "--id", "1",
                  "--out", "back.xml"]) == 0
     assert (workdir / "back.xml").read_bytes() == \

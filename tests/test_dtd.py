@@ -3,7 +3,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from multiform.dtd import (
+    ITERATE,
     MAX_GROUP_DEPTH,
+    STOP,
     Choice,
     ElementRef,
     PCData,
@@ -13,7 +15,6 @@ from multiform.dtd import (
     builtin_dtd_text,
     builtin_schema,
     format_dtd,
-    match_children,
     nullable,
     parse_dtd,
     render_model,
@@ -163,24 +164,27 @@ def model_of(text):
     return parse_dtd(text).elements["A"]
 
 
+def match(model, names):
+    return _Automaton(model).match(names)
+
+
 def test_matching_is_greedy_but_backtracks():
     # B* followed by a required B forces the star to give one back
     model = model_of("<!ELEMENT A (B*, B)>\n<!ELEMENT B (#PCDATA)>")
-    assert match_children(model, ["B", "B", "B"]) is not None
-    assert match_children(model, []) is None
+    assert match(model, ["B", "B", "B"]) == (ITERATE, ITERATE, STOP)
+    assert match(model, []) is None
 
 
 def test_choice_tries_alternatives_in_order():
     model = model_of("<!ELEMENT A (B | C)>\n<!ELEMENT B (#PCDATA)>"
                      "<!ELEMENT C (#PCDATA)>")
-    tree = match_children(model, ["C"])
-    assert tree.alt == 1
+    assert match(model, ["C"]) == (1,)
 
 
 def test_plus_requires_at_least_one():
     model = model_of("<!ELEMENT A (B+)>\n<!ELEMENT B (#PCDATA)>")
-    assert match_children(model, []) is None
-    assert len(match_children(model, ["B", "B"]).iterations) == 2
+    assert match(model, []) is None
+    assert match(model, ["B", "B"]) == (ITERATE, ITERATE, STOP)
 
 
 def test_nullable():

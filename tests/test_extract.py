@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from imagegen import make_gif, make_png
@@ -295,6 +297,30 @@ def test_domains_come_from_the_sidecar(write):
     record = parse_sidecar("domain.age: integer\n")
     view = ingest_relational_view(write("t.csv", "name,age\n"), sidecar=record)
     assert [a.domain for a in view.attributes] == ["string", "integer"]
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_attribute(write):
+    record = parse_sidecar("domain.a: integer\n")
+    view = ingest_relational_view(write("t.csv", "\ufeffa,b\n1,2\n"), sidecar=record)
+    assert [(a.att_name, a.domain) for a in view.attributes] == \
+        [("a", "integer"), ("b", "string")]
+
+
+def test_a_text_payload_keeps_its_byte_order_mark(write):
+    assert extract_text(write("t.txt", "\ufeffonce\n")).body.content == "\ufeffonce\n"
+
+
+def test_the_csv_field_limit_grows_to_fit_a_cell_and_never_shrinks(write):
+    cell = "x" * 200_000
+    old = csv.field_size_limit(131_072)   # csv's default
+    try:
+        view = ingest_relational_view(write("big.csv", f"k\n{cell}\n"))
+        assert view.tuples[0].cells[0].value == cell
+        raised = csv.field_size_limit()
+        ingest_relational_view(write("small.csv", "k\n1\n"))
+        assert csv.field_size_limit() == raised
+    finally:
+        csv.field_size_limit(old)
 
 
 def test_intention_only_keeps_attributes_drops_rows(write):

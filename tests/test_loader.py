@@ -70,7 +70,7 @@ def shredded(text, schema, rschema):
 
 
 def rows_for(rows, rschema, table):
-    names = rschema.table(table).column_names()
+    names = rschema.by_name[table].column_names()
     return [dict(zip(names, row)) for row in rows.tables.get(table, ())]
 
 
@@ -561,10 +561,10 @@ def test_element_conservation_over_generated_documents(schema, rschema):
         report = validate(document, schema)
         rows = shred(document, schema, rschema, report)
         element_rows = sum(len(table_rows) for name, table_rows in rows.tables.items()
-                           if rschema.table(name).element is not None)
+                           if rschema.by_name[name].element is not None)
         filled = sum(1 for name, table_rows in rows.tables.items()
                      for row in table_rows
-                     for col, v in zip(rschema.table(name).column_names(), row)
+                     for col, v in zip(rschema.by_name[name].column_names(), row)
                      if v is not None and col not in skip[name])
         total = sum(1 for _ in document.iter())
         assert element_rows + filled == total

@@ -41,23 +41,23 @@ def test_bibliography_schema_maps_to_the_expected_tables(data_dir):
 def test_root_table_tracks_the_root_element(rschema):
     assert rschema.root_element == "COMPLEX_OBJECT"
     assert rschema.root_table == "complex_object"
-    assert rschema.table("complex_object").fk is None
+    assert rschema.by_name["complex_object"].fk is None
 
 
 def test_single_leaf_child_becomes_a_column():
     rschema = mapped("<!ELEMENT R (X)>\n<!ELEMENT X (#PCDATA)>\n")
     assert [t.name for t in rschema.tables] == ["r"]
-    assert rschema.table("r").column_names() == ["id", "x"]
+    assert rschema.by_name["r"].column_names() == ["id", "x"]
 
 
 def test_leaf_root_gets_a_value_column():
     rschema = mapped("<!ELEMENT R (#PCDATA)>\n")
-    assert rschema.table("r").column_names() == ["id", "value"]
+    assert rschema.by_name["r"].column_names() == ["id", "value"]
 
 
 def test_repeated_leaf_becomes_a_child_table():
     rschema = mapped("<!ELEMENT R (X*)>\n<!ELEMENT X (#PCDATA)>\n")
-    x = rschema.table("x")
+    x = rschema.by_name["x"]
     assert x.column_names() == ["id", "r_id", "pos", "value"]
     assert x.parent == "r" and x.fk == "r_id"
     assert not x.single_per_parent
@@ -65,7 +65,7 @@ def test_repeated_leaf_becomes_a_child_table():
 
 def test_optional_leaf_is_still_a_column():
     rschema = mapped("<!ELEMENT R (X?)>\n<!ELEMENT X (#PCDATA)>\n")
-    assert rschema.table("r").column_names() == ["id", "x"]
+    assert rschema.by_name["r"].column_names() == ["id", "x"]
 
 
 def test_repeated_group_becomes_a_numbered_table():
@@ -73,7 +73,7 @@ def test_repeated_group_becomes_a_numbered_table():
         "<!ELEMENT R ((X, Y)+, (Z)*)>\n"
         "<!ELEMENT X (#PCDATA)>\n<!ELEMENT Y (#PCDATA)>\n<!ELEMENT Z (#PCDATA)>\n")
     assert [t.name for t in rschema.tables] == ["r", "r_g1", "z"]
-    g = rschema.table("r_g1")
+    g = rschema.by_name["r_g1"]
     assert g.element is None
     assert g.column_names() == ["id", "r_id", "pos", "x", "y"]
 
@@ -84,7 +84,7 @@ def test_group_numbering_is_per_parent_table():
         "<!ELEMENT X (#PCDATA)>\n<!ELEMENT Y (#PCDATA)>\n"
         "<!ELEMENT X2 (#PCDATA)>\n<!ELEMENT Y2 (#PCDATA)>\n")
     assert [t.name for t in rschema.tables] == ["r", "r_g1", "r_g2"]
-    assert rschema.table("r_g2").column_names() == ["id", "r_id", "pos", "y2", "x2"]
+    assert rschema.by_name["r_g2"].column_names() == ["id", "r_id", "pos", "y2", "x2"]
 
 
 def test_choice_discriminators_count_per_table():
@@ -92,7 +92,7 @@ def test_choice_discriminators_count_per_table():
         "<!ELEMENT R ((A | B), (C | D))>\n"
         "<!ELEMENT A (#PCDATA)>\n<!ELEMENT B (#PCDATA)>\n"
         "<!ELEMENT C (#PCDATA)>\n<!ELEMENT D (#PCDATA)>\n")
-    assert rschema.table("r").column_names() == \
+    assert rschema.by_name["r"].column_names() == \
         ["id", "choice1", "a", "b", "choice2", "c", "d"]
 
 
@@ -101,8 +101,8 @@ def test_complex_choice_alternative_gets_its_own_table():
         "<!ELEMENT R (A | B)>\n"
         "<!ELEMENT A (K*)>\n<!ELEMENT B (#PCDATA)>\n<!ELEMENT K (#PCDATA)>\n")
     assert [t.name for t in rschema.tables] == ["r", "a", "k"]
-    assert rschema.table("r").column_names() == ["id", "choice1", "b"]
-    assert rschema.table("a").single_per_parent
+    assert rschema.by_name["r"].column_names() == ["id", "choice1", "b"]
+    assert rschema.by_name["a"].single_per_parent
 
 
 def test_single_complex_child_is_single_per_parent():
@@ -110,8 +110,8 @@ def test_single_complex_child_is_single_per_parent():
         "<!ELEMENT R (A, B*)>\n"
         "<!ELEMENT A (X*)>\n<!ELEMENT B (X2*)>\n"
         "<!ELEMENT X (#PCDATA)>\n<!ELEMENT X2 (#PCDATA)>\n")
-    assert rschema.table("a").single_per_parent
-    assert not rschema.table("b").single_per_parent
+    assert rschema.by_name["a"].single_per_parent
+    assert not rschema.by_name["b"].single_per_parent
 
 
 def test_bundled_schema_single_per_parent_flags(rschema):
@@ -303,4 +303,4 @@ def test_a_table_name_sqlite_reserves_is_rejected(dtd):
 
 def test_a_column_may_start_with_sqlite():
     rschema = map_schema(parse_dtd("<!ELEMENT R (sqlite_x)>\n<!ELEMENT sqlite_x (#PCDATA)>"))
-    assert rschema.table("r").column_names() == ["id", "sqlite_x"]
+    assert rschema.by_name["r"].column_names() == ["id", "sqlite_x"]

@@ -18,6 +18,10 @@ def test_scalars_and_keywords():
     assert record.duration is None
 
 
+def test_a_byte_order_mark_is_skipped():
+    assert parse_sidecar("\ufeffkeyword: a\n").keywords == ("a",)
+
+
 def test_keys_are_case_insensitive():
     record = parse_sidecar("Keyword: a\nLANGUAGE: fr\nSpeed: 24 fps\n")
     assert record.keywords == ("a",)
