@@ -139,15 +139,19 @@ def _quote(value) -> str:
 class OdsStore:
     """Relational staging store for shredded documents, backed by sqlite.
 
-    Opening a path that already holds data checks the tables against the
-    schema instead of recreating them, so a store can be filled over
-    several runs. to_script() renders the whole store as portable SQL.
+    The tables are STRICT, so SQLite refuses a value of the wrong type from
+    any writer, and export can trust every column. Opening a path that
+    already holds data compares each table's CREATE statement with its
+    emit_ddl line instead of recreating them, so a store can be filled over
+    several runs; indexes, triggers and sqlite_ tables are not compared.
+    to_script() renders the whole store as portable SQL.
     """
 
     def __init__(self, rschema: RelationalSchema, path: str = ":memory:"):
         self.rschema = rschema
         self.conn = sqlite3.connect(path, isolation_level=None)
         self.conn.execute("PRAGMA foreign_keys = ON")
+        ddl = emit_ddl(rschema).splitlines()
         existing = self._tables()
         if not existing:
             # one transaction: one sync for all tables, and a second process
@@ -156,7 +160,7 @@ class OdsStore:
             try:
                 existing = self._tables()
                 if not existing:
-                    for statement in emit_ddl(rschema).splitlines():
+                    for statement in ddl:
                         self.conn.execute(statement)
             except BaseException:
                 self.conn.execute("ROLLBACK")
@@ -164,22 +168,19 @@ class OdsStore:
             self.conn.execute("COMMIT")
             if not existing:
                 return
-        expected = {t.name for t in rschema.tables}
+        # SQLite keeps each CREATE statement as written, less its semicolon
+        expected = {t.name: line[:-1] for t, line in zip(rschema.tables, ddl)}
         if existing != expected:
-            raise SchemaMismatch(
-                f"store tables {sorted(existing)} do not match the schema "
-                f"tables {sorted(expected)}")
-        for table in rschema.tables:
-            have = [row[1] for row in
-                    self.conn.execute(f"PRAGMA table_info({table.quoted})")]
-            if have != table.column_names():
-                raise SchemaMismatch(
-                    f"table {table.name} has columns {have}, "
-                    f"schema expects {table.column_names()}")
+            name = next(n for n in [*expected, *sorted(existing)]
+                        if existing.get(n) != expected.get(n))
+            raise SchemaMismatch(f"store table {name} is {existing.get(name)!r}, "
+                                 f"the schema expects {expected.get(name)!r}")
 
-    def _tables(self) -> set:
-        return {name for (name,) in self.conn.execute(
-            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    def _tables(self) -> dict:
+        """name -> CREATE statement of each table, less SQLite's own."""
+        return dict(self.conn.execute(
+            "SELECT name, sql FROM sqlite_master WHERE type = 'table' "
+            "AND name NOT LIKE 'sqlite\\_%' ESCAPE '\\'"))
 
     def close(self):
         self.conn.close()
@@ -349,18 +350,6 @@ class _Exporter:
                 self.write(step[2], table, row)
 
 
-def _blob_column(rschema, root_row, children):
-    """`table.column` of the first BLOB among the rows an export read, or None."""
-    for table in rschema.tables:
-        by_parent = {None: [root_row]} if table.fk is None else children.get(table.name, {})
-        for rows in by_parent.values():
-            for row in rows:
-                for column, value in zip(table.columns, row):
-                    if isinstance(value, bytes):
-                        return f"{table.name}.{column.name}"
-    return None
-
-
 def export(store: OdsStore, object_id: int, schema: DtdSchema,
            rschema: RelationalSchema, system_id: str = DEFAULT_SYSTEM_ID) -> str:
     """Rebuild one loaded document and render it canonically."""
@@ -369,12 +358,5 @@ def export(store: OdsStore, object_id: int, schema: DtdSchema,
     if row is None:
         raise UnknownId(rschema.root_table, object_id)
     exporter = _Exporter(store.conn, rschema.root_table, object_id)
-    try:
-        exporter.element(plan, row)
-    except TypeError:
-        # escaping met a value that is not text: a BLOB put in the store by hand
-        where = _blob_column(rschema, row, exporter.children)
-        if where is None:
-            raise
-        raise IntegrityViolation(f"{where} holds a BLOB, not text") from None
+    exporter.element(plan, row)
     return exporter.out.document(rschema.root_element, system_id)

@@ -234,7 +234,7 @@ def map_schema(schema: DtdSchema) -> RelationalSchema:
 
 
 def emit_ddl(rschema: RelationalSchema) -> str:
-    """CREATE TABLE statements, one per line, parents before children."""
+    """STRICT CREATE TABLE statements, one per line, parents before children."""
     lines = []
     for table in rschema.tables:
         rendered = []
@@ -248,5 +248,5 @@ def emit_ddl(rschema: RelationalSchema) -> str:
                 rendered.append(f"{quote(col.name)} INTEGER")
             else:
                 rendered.append(f"{quote(col.name)} TEXT")
-        lines.append(f"CREATE TABLE {table.quoted} ({', '.join(rendered)});")
+        lines.append(f"CREATE TABLE {table.quoted} ({', '.join(rendered)}) STRICT;")
     return "".join(line + "\n" for line in lines)

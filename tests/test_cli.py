@@ -456,17 +456,49 @@ def test_a_table_the_csv_reader_rejects_is_an_input_error(workdir, capsys):
     assert "'cr.csv' line 1: new-line character seen" in one_line_error(capsys)
 
 
-def test_a_blob_in_a_text_column_is_an_integrity_error(workdir, capsys):
+@pytest.mark.parametrize("update", [
+    "UPDATE text SET plain_text = X'41'",
+    "UPDATE keyword SET subdocument_id = X'01'",
+], ids=["text-column", "link-column"])
+def test_the_store_refuses_a_blob_when_it_is_written(workdir, capsys, update):
+    # sqlite3 leaves foreign keys off, so only the column's type can refuse it
     put(workdir, "s.txt", "once\n")
-    assert main(["ingest", "s.txt", "--out", "s.xml"]) == 0
+    assert main(["ingest", "s.txt", "--keywords", "a", "--out", "s.xml"]) == 0
     assert main(["load", "s.xml", "--db", "b.db"]) == 0
-    with sqlite3.connect(workdir / "b.db") as conn:
-        conn.execute("UPDATE text SET plain_text = X'41'")
+    with pytest.raises(sqlite3.IntegrityError):
+        with sqlite3.connect(workdir / "b.db") as conn:
+            conn.execute(update)
     conn.close()
     capsys.readouterr()
-    assert main(["export", "--db", "b.db", "--id", "1"]) == 2
-    assert one_line_error(capsys) == \
-        "multiform: error: text.plain_text holds a BLOB, not text"
+    assert main(["export", "--db", "b.db", "--id", "1", "--out", "back.xml"]) == 0
+    assert (workdir / "back.xml").read_bytes() == (workdir / "s.xml").read_bytes()
+
+
+def test_a_store_made_before_tables_were_strict_is_refused(workdir, capsys):
+    put(workdir, "s.txt", "once\n")
+    assert main(["ingest", "s.txt", "--out", "s.xml"]) == 0
+    old_ddl = emit_ddl(map_schema(builtin_schema())).replace(") STRICT;", ");")
+    with sqlite3.connect(workdir / "old.db") as conn:
+        conn.executescript(old_ddl)
+    conn.close()
+    capsys.readouterr()
+    assert main(["load", "s.xml", "--db", "old.db"]) == 2
+    assert one_line_error(capsys).startswith(
+        "multiform: error: store table complex_object is 'CREATE TABLE complex_object (")
+    assert main(["export", "--db", "old.db", "--id", "1"]) == 2
+    one_line_error(capsys)
+
+
+def test_export_round_trips_after_analyze(workdir, capsys):
+    # ANALYZE (and PRAGMA optimize) add sqlite_stat1, which is SQLite's own
+    ingest_sample(workdir)
+    assert main(["load", "out.xml", "--db", "a.db"]) == 0
+    with sqlite3.connect(workdir / "a.db") as conn:
+        conn.execute("ANALYZE")
+    conn.close()
+    assert main(["load", "out.xml", "--db", "a.db"]) == 0
+    assert main(["export", "--db", "a.db", "--id", "2", "--out", "back.xml"]) == 0
+    assert (workdir / "back.xml").read_bytes() == (workdir / "out.xml").read_bytes()
 
 
 def test_export_missing_store(workdir):

@@ -26,7 +26,7 @@ from multiform.errors import (
     UnknownId,
 )
 from multiform.loader import OdsStore, RowSet, export, load, shred
-from multiform.mapper import FK, ID, map_schema
+from multiform.mapper import FK, ID, emit_ddl, map_schema
 from multiform.model import (
     Attribute,
     Cell,
@@ -203,6 +203,21 @@ def test_store_rejects_missing_columns(rschema, tmp_path):
         OdsStore(rschema, path)
 
 
+@pytest.mark.parametrize("old, new", [
+    (") STRICT;", ");"),                          # made before tables were STRICT
+    ("value TEXT) STRICT;", "value BLOB) STRICT;"),   # the right names, a wrong type
+], ids=["not-strict", "blob-value-column"])
+def test_store_rejects_tables_that_differ_from_the_ddl(rschema, tmp_path, old, new):
+    ddl = emit_ddl(rschema)
+    assert old in ddl
+    path = str(tmp_path / "old.db")
+    with sqlite3.connect(path) as conn:
+        conn.executescript(ddl.replace(old, new))
+    conn.close()
+    with pytest.raises(SchemaMismatch):
+        OdsStore(rschema, path)
+
+
 # -- loading -----------------------------------------------------------------------
 
 
@@ -330,16 +345,20 @@ def test_two_rows_of_a_singular_child_are_rejected(schema, rschema):
 # -- scripts ------------------------------------------------------------------------
 
 
-def test_script_rebuilds_an_identical_database(schema, rschema):
+def test_script_rebuilds_an_identical_database(schema, rschema, tmp_path):
     doc = image_doc(schema).replace("Surf", "it's a 'quote'")
     with OdsStore(rschema) as store:
         load(shredded(doc, schema, rschema), store)
         script = store.to_script()
     assert "it''s a ''quote''" in script
-    with sqlite3.connect(":memory:") as conn:
+    path = str(tmp_path / "replayed.db")
+    with sqlite3.connect(path) as conn:
         conn.executescript(script)
         name = conn.execute("SELECT obj_name FROM complex_object").fetchone()[0]
+    conn.close()
     assert name == "it's a 'quote'"
+    with OdsStore(rschema, path) as store:
+        assert export(store, 1, schema, rschema) == doc
 
 
 def test_script_spells_null_and_empty_apart(schema, rschema):
