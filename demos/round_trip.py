@@ -40,11 +40,12 @@ def main():
         with open(table, "w") as fh:
             fh.write(TABLE)
 
-        record = parse_sidecar("keyword: surf\ndomain.rating: integer\n")
+        # a query or domain applies only to a relational view
+        record = parse_sidecar("keyword: surf\ndomain.rating: integer\n"
+                               "query: SELECT spot, rating FROM spots\n")
         obj = make_complex_object("Surf guide", "2002-06-15", "Web", [
             extract_subdocument(page, sidecar=record),
-            extract_subdocument(table, sidecar=record,
-                                query="SELECT spot, rating FROM spots"),
+            extract_subdocument(table, sidecar=record),
         ])
         text = serialize(obj, schema)
 

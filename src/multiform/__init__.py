@@ -25,6 +25,7 @@ from .extract import (
     extract_subdocument,
     extract_text,
     ingest_relational_view,
+    load_sidecar,
 )
 from .loader import LoadReport, OdsStore, RowSet, export, load, shred
 from .mapper import RelationalSchema, emit_ddl, map_schema
@@ -45,7 +46,7 @@ from .model import (
     apply_sidecar,
     make_complex_object,
 )
-from .sidecar import SidecarRecord, load_sidecar, parse_sidecar
+from .sidecar import SidecarRecord, parse_sidecar
 from .xmldoc import format_document, parse_document, serialize
 
 __version__ = "0.1.0"

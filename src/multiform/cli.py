@@ -17,11 +17,11 @@ from pathlib import PurePath
 
 from .dtd import builtin_schema, parse_dtd, validate
 from .errors import MultiformError, UnknownId
-from .extract import extract_subdocument, read_text
+from .extract import extract_subdocument, load_sidecar, read_text
 from .loader import OdsStore, export, load, shred
 from .mapper import emit_ddl, map_schema
 from .model import make_complex_object
-from .sidecar import EMPTY, load_sidecar, override
+from .sidecar import EMPTY, override
 from .xmldoc import DEFAULT_SYSTEM_ID, parse_document, serialize
 
 

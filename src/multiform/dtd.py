@@ -421,7 +421,9 @@ def _children(model):
 
 
 class _Automaton:
-    """A content model compiled for matching; see match()."""
+    """A content model compiled for matching; see match(). Each state is
+    built when a run first reaches it (the lazy construction of RE2's DFA;
+    R. Cox, "Regular Expression Matching in the Wild", 2010)."""
 
     def __init__(self, model):
         # number the model's nodes breadth first; the lists grow as they are read
@@ -432,6 +434,15 @@ class _Automaton:
             models.extend(below)
             parents.extend([n] * len(below))
             slots.extend(range(len(below)))
+        self._tree = models, parents, slots, kids
+        # per built state: child name -> [(next state, decision chain)], best
+        # first, and the chain that ends the model there (None if it cannot
+        # end there); accept is filled first, so a state in steps is in both
+        self.steps, self.accept = {}, {}
+
+    def _build(self, state):
+        """Build one state's steps and accept chain, and return its steps."""
+        models, parents, slots, kids = self._tree
 
         def closure(first):
             """Walk without consuming from one walk item; the element
@@ -480,18 +491,14 @@ class _Automaton:
                 stack.extend(reversed(nxt))
             return arrivals
 
-        # per state: child name -> [(next state, decision chain)], best first,
-        # and the chain that ends the model there (None if it cannot end there)
-        self.steps, self.accept = {}, {}
-        starts = [(_START, (_ENTER, 0, frozenset(), ()))]
-        starts.extend((n, (_EXIT, n, frozenset(), ()))
-                      for n, node in enumerate(models) if isinstance(node, ElementRef))
-        for state, first in starts:
-            arrivals = closure(first)
-            self.accept[state] = arrivals.pop(None, None)
-            steps = self.steps[state] = {}
-            for q, taken in arrivals.items():
-                steps.setdefault(models[q].name, []).append((q, taken))
+        kind, n = (_ENTER, 0) if state == _START else (_EXIT, state)
+        arrivals = closure((kind, n, frozenset(), ()))
+        self.accept[state] = arrivals.pop(None, None)
+        steps = {}
+        for q, taken in arrivals.items():
+            steps.setdefault(models[q].name, []).append((q, taken))
+        self.steps[state] = steps
+        return steps
 
     def match(self, names, fail=None):
         """The decisions of the first match of the child name sequence, as a
@@ -504,11 +511,15 @@ class _Automaton:
         # threads: (state, the decision chains of its steps as a linked list,
         # last first), best first
         threads = [(_START, None)]
+        built = self.steps
         for at, name in enumerate(names):
             advanced = []
             seen = set()
             for state, path in threads:
-                for q, taken in self.steps[state].get(name, ()):
+                steps = built.get(state)
+                if steps is None:
+                    steps = self._build(state)
+                for q, taken in steps.get(name, ()):
                     if q not in seen:
                         seen.add(q)
                         advanced.append((q, (taken, path) if taken else path))
@@ -516,6 +527,8 @@ class _Automaton:
                 return self._fail(threads, at, len(names), fail)
             threads = advanced
         for state, path in threads:
+            if state not in built:   # reached by the last child; _fail reads it too
+                self._build(state)
             taken = self.accept[state]
             if taken is not None:
                 decisions = []   # collected last to first

@@ -3,7 +3,8 @@
 Plain and tagged text, image headers (GIF, PNG, JPEG), delimiter-separated
 relational exports, and sound/video files each produce the payload their
 kind calls for. Classification is by file extension; binary headers are
-read directly so no decoder is pulled in for a few integers.
+read directly so no decoder is pulled in for a few integers. What a file
+cannot tell comes from its sidecar record, overlaid once by apply_sidecar.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     UnknownExtension,
     UnsupportedFormat,
 )
-from .sidecar import EMPTY, SidecarRecord, override
+from .sidecar import EMPTY, SidecarRecord, parse_sidecar
 
 KIND_TEXT = "text"
 KIND_TAGGED_TEXT = "tagged_text"
@@ -55,16 +56,6 @@ EXTENSION_KINDS = {
     "mp4": KIND_VIDEO,
 }
 
-_KIND_TYPES = {
-    KIND_TEXT: m.TYPE_TEXT,
-    KIND_TAGGED_TEXT: m.TYPE_TEXT,
-    KIND_IMAGE: m.TYPE_IMAGE,
-    KIND_RELATIONAL_VIEW: m.TYPE_RELATIONAL,
-    KIND_SOUND: m.TYPE_SOUND,
-    KIND_VIDEO: m.TYPE_VIDEO,
-}
-
-
 def detect_kind(path: str) -> str:
     """Classify a file by its extension (case-insensitive)."""
     suffix = PurePath(path).suffix.lower().lstrip(".")
@@ -74,18 +65,13 @@ def detect_kind(path: str) -> str:
     return kind
 
 
-def extract_common(path: str, doc_name: str | None = None):
-    """Fields shared by every subdocument: (doc_name, type, size, location).
-
-    The location is the path exactly as given; doc_name defaults to the
-    filename stem.
-    """
+def _kind_among(path: str, *kinds: str) -> str:
+    """detect_kind(path), refused unless it is one of kinds."""
     kind = detect_kind(path)
-    try:
-        size = os.stat(path).st_size
-    except OSError as exc:
-        raise FileNotReadable(path, exc.strerror or str(exc)) from None
-    return (doc_name or PurePath(path).stem, _KIND_TYPES[kind], size, path)
+    if kind not in kinds:
+        raise UnknownExtension(
+            path, [ext for ext, k in EXTENSION_KINDS.items() if k in kinds])
+    return kind
 
 
 def _read_bytes(path: str) -> bytes:
@@ -108,6 +94,11 @@ def read_text(path: str) -> str:
     return _decode(path, _read_bytes(path))
 
 
+def load_sidecar(path: str) -> SidecarRecord:
+    """Read and parse a sidecar file."""
+    return parse_sidecar(read_text(path))
+
+
 # -- text ------------------------------------------------------------------------
 
 
@@ -120,9 +111,7 @@ def count_lines(text: str) -> int:
 
 def extract_text(path: str) -> m.TextPayload:
     """Character and line counts plus the body, tagged or plain by kind."""
-    kind = detect_kind(path)
-    if kind not in (KIND_TEXT, KIND_TAGGED_TEXT):
-        raise UnknownExtension(path, ["txt", "htm", "html", "xml", "sgml"])
+    kind = _kind_among(path, KIND_TEXT, KIND_TAGGED_TEXT)
     content = read_text(path)
     if kind == KIND_TAGGED_TEXT:
         body = m.TaggedText(content=content, links=extract_links(content))
@@ -219,20 +208,16 @@ def _jpeg_meta(path, data):
 
 
 def ingest_relational_view(data_path: str,
-                           query: str | None = None,
-                           intention_only: bool = False,
-                           sidecar: SidecarRecord | None = None) -> m.RelationalView:
+                           intention_only: bool = False) -> m.RelationalView:
     """Read a delimiter-separated export with a header row.
 
-    Attribute domains come from sidecar ``domain.<att_name>`` entries and
-    default to "string". With intention_only the data rows are dropped and
-    only the attributes (and query) are kept. A leading byte order mark is
-    skipped, and a cell may be as long as the file.
+    Every attribute's domain is "string" and the query is None: both are
+    captured metadata, which apply_sidecar overlays. With intention_only the
+    data rows are dropped and only the attributes are kept. A leading byte
+    order mark is skipped, and a cell may be as long as the file.
     """
-    suffix = PurePath(data_path).suffix.lower()
-    if suffix not in (".csv", ".tsv"):
-        raise UnknownExtension(data_path, ["csv", "tsv"])
-    delimiter = "\t" if suffix == ".tsv" else ","
+    _kind_among(data_path, KIND_RELATIONAL_VIEW)
+    delimiter = "\t" if PurePath(data_path).suffix.lower() == ".tsv" else ","
     text = read_text(data_path).removeprefix("\ufeff")
     # the limit is process-wide: raise it to fit this text, never lower it
     csv.field_size_limit(max(csv.field_size_limit(), len(text)))
@@ -244,10 +229,7 @@ def ingest_relational_view(data_path: str,
     if not rows or rows[0] in ([], [""]):
         raise EmptyHeader(data_path)
     header = rows[0]
-    record = sidecar or EMPTY
-    attributes = tuple(
-        m.Attribute(att_name=name, domain=record.domains.get(name, "string"))
-        for name in header)
+    attributes = tuple(m.Attribute(att_name=name) for name in header)
     tuples = []
     if not intention_only:
         for rownum, row in enumerate(rows[1:], start=1):
@@ -256,21 +238,16 @@ def ingest_relational_view(data_path: str,
             tuples.append(m.ViewTuple(tuple(
                 m.Cell(att_name_ref=name, value=value)
                 for name, value in zip(header, row))))
-    if query is None:
-        query = record.query
-    return m.RelationalView(attributes=attributes, tuples=tuple(tuples), query=query)
+    return m.RelationalView(attributes=attributes, tuples=tuple(tuples))
 
 
 # -- continuous media -------------------------------------------------------------------
 
 
 def extract_continuous(path: str,
-                       kind: str | None = None,
                        sidecar: SidecarRecord | None = None) -> m.ContinuousMeta:
     """Duration and speed are captured, not decoded: the sidecar must carry them."""
-    kind = kind or detect_kind(path)
-    if kind not in (KIND_SOUND, KIND_VIDEO):
-        raise UnknownExtension(path, ["wav", "mp3", "avi", "mpg", "mpeg", "mp4"])
+    kind = _kind_among(path, KIND_SOUND, KIND_VIDEO)
     record = sidecar or EMPTY
     if record.duration is None:
         raise MissingSidecarField("duration")
@@ -284,23 +261,26 @@ def extract_continuous(path: str,
 
 
 def extract_subdocument(path: str,
-                        doc_name: str | None = None,
                         sidecar: SidecarRecord | None = None,
-                        query: str | None = None,
                         intention_only: bool = False) -> m.Subdocument:
-    """Extract a file into a subdocument and overlay the captured metadata."""
+    """Extract a file into a subdocument named after its stem, then overlay
+    the sidecar record once with apply_sidecar: that is where a name, a
+    view's query or its domains come from. A missing file raises
+    FileNotReadable, for sound and video too.
+    """
     kind = detect_kind(path)
-    record = override(sidecar or EMPTY, name=doc_name, query=query)
-    name, _, size, location = extract_common(path, record.name)
+    try:
+        size = os.stat(path).st_size
+    except OSError as exc:
+        raise FileNotReadable(path, exc.strerror or str(exc)) from None
     if kind in (KIND_TEXT, KIND_TAGGED_TEXT):
         payload = extract_text(path)
     elif kind == KIND_IMAGE:
         payload = extract_image(path)
     elif kind == KIND_RELATIONAL_VIEW:
-        payload = ingest_relational_view(path, query=record.query,
-                                         intention_only=intention_only,
-                                         sidecar=record)
+        payload = ingest_relational_view(path, intention_only)
     else:
-        payload = extract_continuous(path, kind, record)
-    sub = m.Subdocument(doc_name=name, size=size, location=location, payload=payload)
-    return m.apply_sidecar(sub, record)
+        payload = extract_continuous(path, sidecar)
+    sub = m.Subdocument(doc_name=PurePath(path).stem, size=size, location=path,
+                        payload=payload)
+    return m.apply_sidecar(sub, sidecar)

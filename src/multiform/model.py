@@ -20,8 +20,6 @@ TYPE_RELATIONAL = "Relational view"
 TYPE_SOUND = "Sound"
 TYPE_VIDEO = "Video"
 
-SUBDOCUMENT_TYPES = (TYPE_TEXT, TYPE_IMAGE, TYPE_RELATIONAL, TYPE_SOUND, TYPE_VIDEO)
-
 
 def _require(cond: bool, message: str):
     if not cond:

@@ -83,11 +83,6 @@ def parse_sidecar(text: str) -> SidecarRecord:
     return SidecarRecord(keywords=tuple(keywords), domains=domains, **scalars)
 
 
-def load_sidecar(path: str) -> SidecarRecord:
-    from .extract import read_text  # extract imports this module
-    return parse_sidecar(read_text(path))
-
-
 def override(record: SidecarRecord, **fields) -> SidecarRecord:
     """Return a copy with the given non-None fields replaced.
 

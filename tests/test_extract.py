@@ -21,7 +21,6 @@ from multiform.extract import (
     KIND_TEXT,
     KIND_VIDEO,
     detect_kind,
-    extract_common,
     extract_continuous,
     extract_image,
     extract_links,
@@ -29,7 +28,7 @@ from multiform.extract import (
     extract_text,
     ingest_relational_view,
 )
-from multiform.model import PlainText, Sound, TaggedText, Video
+from multiform.model import PlainText, Sound, TaggedText, Video, apply_sidecar
 from multiform.sidecar import parse_sidecar
 
 
@@ -85,22 +84,28 @@ def test_unknown_extension_lists_what_is_supported():
 
 def test_common_fields(write):
     path = write("essay.txt", "hello\n")
-    name, type_, size, location = extract_common(path)
-    assert name == "essay"
-    assert type_ == "Text"
-    assert size == 6
-    assert location == path
+    sub = extract_subdocument(path)
+    assert sub.doc_name == "essay"
+    assert sub.type == "Text"
+    assert sub.size == 6
+    assert sub.location == path
 
 
 def test_common_accepts_an_explicit_name(write):
     path = write("essay.txt", "x")
-    assert extract_common(path, "My Essay")[0] == "My Essay"
+    record = parse_sidecar("name: My Essay\n")
+    assert extract_subdocument(path, sidecar=record).doc_name == "My Essay"
 
 
 def test_missing_file_is_reported_with_its_path(tmp_path):
     with pytest.raises(FileNotReadable) as err:
-        extract_common(str(tmp_path / "gone.txt"))
+        extract_subdocument(str(tmp_path / "gone.txt"))
     assert "gone.txt" in err.value.path
+    # sound and video are never read, so this is their only check
+    record = parse_sidecar("duration: 3\nspeed: 8 kHz\n")
+    with pytest.raises(FileNotReadable) as err:
+        extract_subdocument(str(tmp_path / "gone.wav"), sidecar=record)
+    assert "gone.wav" in err.value.path
 
 
 # -- text ------------------------------------------------------------------------
@@ -295,13 +300,14 @@ def test_ragged_row_reports_its_data_row_number(write):
 
 def test_domains_come_from_the_sidecar(write):
     record = parse_sidecar("domain.age: integer\n")
-    view = ingest_relational_view(write("t.csv", "name,age\n"), sidecar=record)
+    view = extract_subdocument(write("t.csv", "name,age\n"), sidecar=record).payload
     assert [a.domain for a in view.attributes] == ["string", "integer"]
 
 
 def test_a_byte_order_mark_is_not_part_of_the_first_attribute(write):
     record = parse_sidecar("domain.a: integer\n")
-    view = ingest_relational_view(write("t.csv", "\ufeffa,b\n1,2\n"), sidecar=record)
+    view = extract_subdocument(write("t.csv", "\ufeffa,b\n1,2\n"),
+                               sidecar=record).payload
     assert [(a.att_name, a.domain) for a in view.attributes] == \
         [("a", "integer"), ("b", "string")]
 
@@ -334,14 +340,6 @@ def test_intention_only_skips_ragged_data(write):
     view = ingest_relational_view(write("t.csv", "a,b\nlone\n"),
                                   intention_only=True)
     assert view.tuples == ()
-
-
-def test_query_argument_beats_the_sidecar(write):
-    record = parse_sidecar("query: SELECT * FROM t\n")
-    path = write("t.csv", "a\n1\n")
-    assert ingest_relational_view(path, sidecar=record).query == "SELECT * FROM t"
-    assert ingest_relational_view(path, query="SELECT a FROM t",
-                                  sidecar=record).query == "SELECT a FROM t"
 
 
 def test_view_ingestion_refuses_other_extensions(write):
@@ -396,13 +394,6 @@ def test_subdocument_overlays_sidecar_metadata(write):
     assert sub.language == "English"
 
 
-def test_explicit_name_beats_the_sidecar(write):
-    record = parse_sidecar("name: FromSidecar\n")
-    sub = extract_subdocument(write("s.txt", "x"), doc_name="Given",
-                              sidecar=record)
-    assert sub.doc_name == "Given"
-
-
 def test_image_subdocument_takes_sidecar_compression(write):
     record = parse_sidecar("compression: lzw\nresolution: 72dpi\n")
     sub = extract_subdocument(write("w.gif", make_gif(4, 5)), sidecar=record)
@@ -421,7 +412,8 @@ def test_view_subdocument_takes_query_and_domains(write):
 
 
 def test_query_argument_reaches_the_view(write):
-    sub = extract_subdocument(write("v.csv", "n\n"), query="Q1",
+    record = parse_sidecar("query: Q1\n")
+    sub = extract_subdocument(write("v.csv", "n\n"), sidecar=record,
                               intention_only=True)
     assert sub.payload.query == "Q1"
     assert sub.payload.tuples == ()
@@ -433,3 +425,21 @@ def test_continuous_subdocument(write):
     sub = extract_subdocument(path, sidecar=record)
     assert sub.type == "Sound"
     assert sub.payload.media.ref == path
+
+
+_EVERY_FIELD = parse_sidecar(
+    "keyword: surf\nkeyword: wave\nlanguage: English\nresolution: 72dpi\n"
+    "compression: lzw\nduration: 3\nspeed: 8 kHz\nquery: SELECT n FROM t\n"
+    "name: Given\nsource: Web\ndate: 2002-06-15\ndomain.n: integer\n")
+
+
+@pytest.mark.parametrize("name,content", [
+    ("s.txt", "once\n"),
+    ("p.html", '<a href="u">x</a>'),
+    ("w.gif", make_gif(4, 5)),
+    ("v.csv", "n,m\n4,5\n"),
+])
+def test_the_record_is_applied_once_after_extraction(write, name, content):
+    path = write(name, content)
+    assert extract_subdocument(path, sidecar=_EVERY_FIELD) == \
+        apply_sidecar(extract_subdocument(path), _EVERY_FIELD)

@@ -63,17 +63,28 @@ def test_many_optional_children_reject_a_bad_child():
         f"one of {{A, B}}, found C (expected ({model}, B))"]
 
 
+def test_a_run_builds_only_the_states_it_reaches():
+    # building all 1,001 states of this model takes seconds; one child needs two
+    model = Sequence(tuple(Repeat(ElementRef(f"E{i}"), "?") for i in range(1000)))
+    automaton = _Automaton(model)
+    assert automaton.match(["E500"]) == (STOP,) * 500 + (ITERATE,) + (STOP,) * 499
+    assert len(automaton.steps) == 2
+
+
 def test_automaton_memory_grows_with_its_transitions_not_beyond():
     # (E0?, ..., E149?) has about n^2/2 transitions, and each records the run
     # of STOP decisions it skips over; only if those runs share their storage
-    # does memory grow as n^2, not n^3 (1.4 GiB at n = 1000 on Python 3.11)
+    # does memory grow as n^2, not n^3 (1.4 GiB at n = 1000 on Python 3.11);
+    # states are built as a run reaches them, and matching every E builds all
     model = Sequence(tuple(Repeat(ElementRef(f"E{i}"), "?") for i in range(150)))
     tracemalloc.start()
     try:
         automaton = _Automaton(model)
+        assert automaton.match([f"E{i}" for i in range(150)]) == (ITERATE,) * 150
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    assert len(automaton.steps) == 151   # the start and every E
     transitions = sum(len(to) for by_name in automaton.steps.values()
                       for to in by_name.values())
     assert held < 8 * transitions * sys.getsizeof((0, ()))
