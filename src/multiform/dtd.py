@@ -283,24 +283,16 @@ def parse_dtd(text: str) -> DtdSchema:
         order.append(name)
 
     referenced = set()
-
-    def refs(model):
-        if isinstance(model, ElementRef):
-            yield model.name
-        elif isinstance(model, Sequence):
-            for p in model.parts:
-                yield from refs(p)
-        elif isinstance(model, Choice):
-            for a in model.alternatives:
-                yield from refs(a)
-        elif isinstance(model, Repeat):
-            yield from refs(model.inner)
-
     for name, model in elements.items():
-        for ref in refs(model):
-            if ref not in elements:
-                raise UndeclaredReference(name, ref)
-            referenced.add(ref)
+        # left to right, so the first undeclared reference in the text is reported
+        stack = [] if isinstance(model, PCData) else [model]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ElementRef):
+                if node.name not in elements:
+                    raise UndeclaredReference(name, node.name)
+                referenced.add(node.name)
+            stack.extend(reversed(_children(node)))
 
     for name in order:
         if name not in referenced:

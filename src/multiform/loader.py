@@ -128,14 +128,6 @@ def shred(document, schema: DtdSchema, rschema: RelationalSchema,
 # -- the store ---------------------------------------------------------------------
 
 
-def _quote(value) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, int):
-        return str(value)
-    return "'" + str(value).replace("'", "''") + "'"
-
-
 class OdsStore:
     """Relational staging store for shredded documents, backed by sqlite.
 
@@ -144,7 +136,8 @@ class OdsStore:
     already holds data compares each table's CREATE statement with its
     emit_ddl line instead of recreating them, so a store can be filled over
     several runs; indexes, triggers and sqlite_ tables are not compared.
-    to_script() renders the whole store as portable SQL.
+    It then refuses a store holding a link to no row. to_script() renders
+    the whole store as portable SQL.
     """
 
     def __init__(self, rschema: RelationalSchema, path: str = ":memory:"):
@@ -175,6 +168,10 @@ class OdsStore:
                         if existing.get(n) != expected.get(n))
             raise SchemaMismatch(f"store table {name} is {existing.get(name)!r}, "
                                  f"the schema expects {expected.get(name)!r}")
+        # a writer with foreign keys off can leave a link to no row, and
+        # export would skip its row without a word
+        for table, rowid, parent, _ in self.conn.execute("PRAGMA foreign_key_check"):
+            raise IntegrityViolation(f"row {rowid} of {table} links to no row of {parent}")
 
     def _tables(self) -> dict:
         """name -> CREATE statement of each table, less SQLite's own."""
@@ -196,10 +193,10 @@ class OdsStore:
         lines = [emit_ddl(self.rschema).rstrip("\n")] if self.rschema.tables else []
         for table in self.rschema.tables:
             names = ", ".join(map(quote, table.column_names()))
-            cur = self.conn.execute(f"SELECT {names} FROM {table.quoted} ORDER BY id")
-            for row in cur:
-                values = ", ".join(_quote(v) for v in row)
-                lines.append(f"INSERT INTO {table.quoted} ({names}) VALUES ({values});")
+            values = " || ', ' || ".join(f"quote({quote(c)})" for c in table.column_names())
+            cur = self.conn.execute(f"SELECT {values} FROM {table.quoted} ORDER BY id")
+            lines.extend(f"INSERT INTO {table.quoted} ({names}) VALUES ({v});"
+                         for v, in cur)
         return "".join(line + "\n" for line in lines)
 
 
@@ -246,15 +243,17 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
                 parents.add(row[FK])
 
     counts = {t.name: 0 for t in rschema.tables}
+    filled = [t for t in rschema.tables if rows.tables.get(t.name)]
+    maxima = ", ".join(f"(SELECT COALESCE(MAX(id), 0) FROM {t.quoted})" for t in filled)
     # offsets are read inside the write transaction, so a concurrent load
-    # into the same store cannot take the same ids; one statement reads all
+    # into the same store cannot take the same ids; one statement reads those
+    # of the tables the rows fill, which include every filled table's parent
     store.conn.execute("BEGIN IMMEDIATE")
     try:
-        offsets = dict(zip(counts, store.conn.execute(rschema.offsets).fetchone()))
-        for table in rschema.tables:
-            batch = rows.tables.get(table.name)
-            if not batch:
-                continue
+        offsets = dict(zip((t.name for t in filled),
+                           store.conn.execute(f"SELECT {maxima or 0}").fetchone()))
+        for table in filled:
+            batch = rows.tables[table.name]
             shift = offsets[table.name]
             if table.fk is not None:
                 up = offsets[table.parent]

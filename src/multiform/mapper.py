@@ -93,12 +93,6 @@ class RelationalSchema:
     root_table: str
     plan: tuple = field(repr=False, compare=False)   # the root table's plan
 
-    @cached_property
-    def offsets(self) -> str:
-        """One SELECT of every table's largest id."""
-        return "SELECT " + ", ".join(f"(SELECT COALESCE(MAX(id), 0) FROM {t.quoted})"
-                                     for t in self.tables)
-
 
 def _alt_token(model) -> str:
     # Bare element alternatives are named by the element; anything fancier

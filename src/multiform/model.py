@@ -97,8 +97,9 @@ class RelationalView:
         declared = set(names)
         for t in self.tuples:
             for c in t.cells:
-                _require(c.att_name_ref in declared,
-                         f"cell references undeclared attribute {c.att_name_ref!r}")
+                if c.att_name_ref not in declared:
+                    raise InvariantViolation(
+                        f"cell references undeclared attribute {c.att_name_ref!r}")
 
 
 # -- images --------------------------------------------------------------------
@@ -216,6 +217,15 @@ def make_complex_object(name: str,
                          subdocuments=tuple(subdocuments))
 
 
+# The record fields each payload kind takes, named alike on record and payload.
+_PAYLOAD_FIELDS = {
+    TextPayload: (),
+    ImageMeta: ("compression", "resolution"),
+    RelationalView: ("query",),
+    ContinuousMeta: ("duration", "speed"),
+}
+
+
 def apply_sidecar(subdoc: Subdocument, record: SidecarRecord | None) -> Subdocument:
     """Overlay captured metadata onto an extracted subdocument.
 
@@ -235,32 +245,14 @@ def apply_sidecar(subdoc: Subdocument, record: SidecarRecord | None) -> Subdocum
         updates["doc_name"] = record.name
 
     payload = subdoc.payload
-    if isinstance(payload, ImageMeta):
-        pu = {}
-        if record.compression is not None:
-            pu["compression"] = record.compression
-        if record.resolution is not None:
-            pu["resolution"] = record.resolution
-        if pu:
-            updates["payload"] = replace(payload, **pu)
-    elif isinstance(payload, RelationalView):
-        pu = {}
-        if record.query is not None:
-            pu["query"] = record.query
-        if record.domains:
-            pu["attributes"] = tuple(
-                replace(a, domain=record.domains.get(a.att_name, a.domain))
-                for a in payload.attributes
-            )
-        if pu:
-            updates["payload"] = replace(payload, **pu)
-    elif isinstance(payload, ContinuousMeta):
-        pu = {}
-        if record.duration is not None:
-            pu["duration"] = record.duration
-        if record.speed is not None:
-            pu["speed"] = record.speed
-        if pu:
-            updates["payload"] = replace(payload, **pu)
+    pu = {name: getattr(record, name) for name in _PAYLOAD_FIELDS[type(payload)]
+          if getattr(record, name) is not None}
+    domains = record.domains
+    if domains and isinstance(payload, RelationalView):
+        pu["attributes"] = tuple(
+            Attribute(a.att_name, domains[a.att_name]) if a.att_name in domains else a
+            for a in payload.attributes)
+    if pu:
+        updates["payload"] = replace(payload, **pu)
 
     return replace(subdoc, **updates) if updates else subdoc

@@ -474,6 +474,21 @@ def test_the_store_refuses_a_blob_when_it_is_written(workdir, capsys, update):
     assert (workdir / "back.xml").read_bytes() == (workdir / "s.xml").read_bytes()
 
 
+def test_a_store_with_a_dangling_link_is_refused(workdir, capsys):
+    # sqlite3 leaves foreign keys off, so SQLite takes a link to no row
+    put(workdir, "s.txt", "once\n")
+    assert main(["ingest", "s.txt", "--keywords", "a", "--out", "s.xml"]) == 0
+    assert main(["load", "s.xml", "--db", "b.db"]) == 0
+    with sqlite3.connect(workdir / "b.db") as conn:
+        conn.execute("UPDATE keyword SET subdocument_id = 99")
+    conn.close()
+    capsys.readouterr()
+    assert main(["export", "--db", "b.db", "--id", "1"]) == 2
+    assert one_line_error(capsys) == \
+        "multiform: error: row 1 of keyword links to no row of subdocument"
+    assert capsys.readouterr().out == ""
+
+
 def test_a_store_made_before_tables_were_strict_is_refused(workdir, capsys):
     put(workdir, "s.txt", "once\n")
     assert main(["ingest", "s.txt", "--out", "s.xml"]) == 0

@@ -105,6 +105,14 @@ def test_undeclared_reference_names_both_sides():
     assert err.value.referenced == "MISSING"
 
 
+def test_the_first_undeclared_reference_in_the_text_is_reported():
+    with pytest.raises(UndeclaredReference) as err:
+        parse_dtd("<!ELEMENT A (B, ((C | NESTED)*, D?), LATER)>\n"
+                  "<!ELEMENT B (#PCDATA)>\n<!ELEMENT C (#PCDATA)>\n"
+                  "<!ELEMENT D (#PCDATA)>")
+    assert err.value.referenced == "NESTED"
+
+
 def test_mixed_content_is_rejected():
     with pytest.raises(MixedContent):
         parse_dtd("<!ELEMENT A (#PCDATA | B)*>\n<!ELEMENT B (#PCDATA)>")

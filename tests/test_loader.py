@@ -31,7 +31,9 @@ from multiform.model import (
     Attribute,
     Cell,
     ImageMeta,
+    PlainText,
     Subdocument,
+    TextPayload,
     ViewTuple,
     RelationalView,
     make_complex_object,
@@ -361,6 +363,17 @@ def test_script_rebuilds_an_identical_database(schema, rschema, tmp_path):
         assert export(store, 1, schema, rschema) == doc
 
 
+def test_script_quotes_text_as_sqlite_does(rschema):
+    with OdsStore(rschema) as store:
+        store.conn.execute("INSERT INTO complex_object VALUES (1, 'o', 'd', 's')")
+        store.conn.execute("INSERT INTO subdocument VALUES (1, 1, 1, ?, ?, ?, ?, NULL, 'X')",
+                           ("it's \"so\"", "a\nb\rc", "naïve 日本", ""))
+        script = store.to_script()
+    assert ("\nINSERT INTO subdocument (id, complex_object_id, pos, doc_name, type, "
+            "size, location, language, choice1) VALUES (1, 1, 1, 'it''s \"so\"', "
+            "'a\nb\rc', 'naïve 日本', '', NULL, 'X');\n") in script
+
+
 def test_script_spells_null_and_empty_apart(schema, rschema):
     with OdsStore(rschema) as store:
         load(shredded(view_doc(schema, query=""), schema, rschema), store)
@@ -494,6 +507,20 @@ def test_load_reads_every_offset_in_one_statement(schema, rschema):
             assert len([s for s in statements if s.startswith("SELECT")]) == 1
         assert max_id(store, "complex_object") == 2
         assert export(store, 2, schema, rschema) == text
+
+
+def test_load_reads_the_offsets_of_only_the_tables_it_fills(schema, rschema):
+    obj = make_complex_object("Note", "2002-06-15", "Local", [
+        Subdocument(doc_name="note", size=6, location="note.txt",
+                    payload=TextPayload(6, 1, PlainText("hello\n")))])
+    rows = shredded(serialize(obj, schema), schema, rschema)
+    with OdsStore(rschema) as store:
+        statements = []
+        store.conn.set_trace_callback(statements.append)
+        load(rows, store)
+        store.conn.set_trace_callback(None)
+    select, = [s for s in statements if s.startswith("SELECT")]
+    assert re.findall(r"FROM (\w+)", select) == ["complex_object", "subdocument", "text"]
 
 
 # Two image objects whose rows interleave: object 1 owns subdocuments 3

@@ -1,4 +1,5 @@
 import datetime
+from dataclasses import fields
 
 import pytest
 
@@ -78,6 +79,13 @@ def test_view_cells_must_reference_declared_attributes():
                        tuples=(ViewTuple((Cell("salary", "1"),)),))
 
 
+def test_an_undeclared_cell_is_named_in_the_message():
+    with pytest.raises(InvariantViolation) as err:
+        RelationalView(attributes=(Attribute("a"),),
+                       tuples=(ViewTuple((Cell("a", "1"), Cell("x", "2"))),))
+    assert str(err.value) == "cell references undeclared attribute 'x'"
+
+
 def test_tuple_needs_at_least_one_cell():
     with pytest.raises(InvariantViolation):
         ViewTuple(())
@@ -153,6 +161,34 @@ def test_sidecar_overlays_continuous_fields():
     out = apply_sidecar(sub, SidecarRecord(duration="90", speed="25 fps"))
     assert out.payload.duration == "90"
     assert out.payload.speed == "25 fps"
+
+
+_EVERY_FIELD = SidecarRecord(
+    keywords=("k",), language="fr", resolution="9dpi", compression="LZW",
+    duration="90", speed="2x", query="SELECT 1", name="Renamed",
+    source="Web", date="2001-01-01", domains={"age": "integer"})
+
+
+@pytest.mark.parametrize("payload, changed", [
+    (TextPayload(nb_char=5, nb_lines=1, body=PlainText("hello")), set()),
+    (ImageMeta(length=10, width=20, format="Gif"), {"compression", "resolution"}),
+    (RelationalView(attributes=(Attribute("age"), Attribute("name"))),
+     {"query", "attributes"}),
+    (ContinuousMeta("1", "1x", Sound("s.wav")), {"duration", "speed"}),
+    (ContinuousMeta("1", "1x", Video("v.avi")), {"duration", "speed"}),
+], ids=["text", "image", "view", "sound", "video"])
+def test_a_record_changes_only_the_fields_its_payload_takes(payload, changed):
+    sub = text_sub(payload=payload)
+    out = apply_sidecar(sub, _EVERY_FIELD)
+    assert {f.name for f in fields(Subdocument)
+            if getattr(out, f.name) != getattr(sub, f.name)} == \
+        {"keywords", "language", "doc_name"} | ({"payload"} if changed else set())
+    assert {f.name for f in fields(payload)
+            if getattr(out.payload, f.name) != getattr(payload, f.name)} == changed
+    for name in changed - {"attributes"}:
+        assert getattr(out.payload, name) == getattr(_EVERY_FIELD, name)
+    if "attributes" in changed:
+        assert out.payload.attributes == (Attribute("age", "integer"), Attribute("name"))
 
 
 def test_sidecar_fields_for_other_payloads_are_ignored():
