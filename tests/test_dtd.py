@@ -134,6 +134,31 @@ def test_unsupported_or_malformed_declarations(text):
         parse_dtd(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("<!ELEMENT A", "line 1: expected a content model, found 'end of input'"),
+    ("<!ELEMENT A (B", "line 1: expected ',', '|' or ')', found 'end of input'"),
+    ("<!ELEMENT A (B\n\n\n", "line 1: expected ',', '|' or ')', found 'end of input'"),
+    ("<!ELEMENT A (B,", "line 1: expected an element name or '(', found 'end of input'"),
+    ("<!ELEMENT A (B)", "line 1: expected >, found 'end of input'"),
+    (")", "line 1: expected <!ELEMENT, found ')'"),
+])
+def test_syntax_errors_say_what_was_expected_and_found(text, message):
+    # input that ends early is reported at the line of its last token
+    with pytest.raises(DtdSyntaxError) as err:
+        parse_dtd(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, line", [
+    ("<!ELEMENT A (B, (#PCDATA))>", 1),
+    ("<!ELEMENT A (B,\n #PCDATA)>", 2),
+])
+def test_pcdata_among_child_elements_is_mixed_content(text, line):
+    with pytest.raises(MixedContent) as err:
+        parse_dtd(text)
+    assert err.value.line == line
+
+
 def test_syntax_error_carries_line_and_found_token():
     with pytest.raises(DtdSyntaxError) as err:
         parse_dtd("<!ELEMENT A (B)>\n<!ELEMENT B ()>\n")
@@ -243,6 +268,19 @@ def test_character_data_between_children_is_a_violation(schema):
                "<SOURCE>s</SOURCE></COMPLEX_OBJECT>")
     report = validate(tree, schema)
     assert any("character data" in str(v) for v in report.violations)
+
+
+@pytest.mark.parametrize("text, count", [
+    ("<R><A/>x<B/></R>", 1),
+    ("<R>y<A/>x<B/>z</R>", 2),
+])
+def test_character_data_after_a_child_is_one_violation(text, count):
+    # text before the first child and text after any child are one each
+    schema = parse_dtd("<!ELEMENT R (A, B)>\n<!ELEMENT A (#PCDATA)>\n"
+                       "<!ELEMENT B (#PCDATA)>")
+    report = validate(doc(text), schema)
+    assert [str(v) for v in report.violations] == count * [
+        "/R: character data is not allowed between child elements (expected (A, B))"]
 
 
 def test_whitespace_between_children_is_fine(schema):

@@ -242,6 +242,20 @@ def test_jpeg_scan_data_before_frame(write):
         extract_image(write("p.jpg", data))
 
 
+@pytest.mark.parametrize("data, detail", [
+    (b"\xff\xd8", "no JPEG frame header before end of file"),
+    (b"\xff\xd8\xff\xff", "truncated JPEG marker"),
+    (b"\xff\xd8\xff\xe0\x00", "truncated JPEG segment length"),
+    (b"\xff\xd8\xff\xe0\x00\x01", "bad JPEG segment length"),
+    (b"\xff\xd8\xff\xc0\x00\x11\x08\x00", "truncated JPEG frame header"),
+])
+def test_truncated_jpeg(write, data, detail):
+    path = write("p.jpg", data)
+    with pytest.raises(CorruptHeader) as err:
+        extract_image(path)
+    assert str(err.value) == f"{path!r}: {detail}"
+
+
 def test_jpeg_with_garbage_between_segments(write):
     data = b"\xff\xd8" + b"\x00\x00\x00"
     with pytest.raises(CorruptHeader):

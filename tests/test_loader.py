@@ -333,6 +333,24 @@ def test_a_failing_late_batch_leaves_the_store_as_it_was(schema, rschema):
         assert store.to_script() == before
 
 
+def test_a_value_sqlite_cannot_bind_rolls_the_load_back(schema, rschema):
+    rows = shredded(view_doc(schema), schema, rschema)
+    rows.tables["tuple_g1"][0][-1] = {"not": "text"}   # a late batch's text column
+    tables = [t.name for t in rschema.tables]
+
+    def counts(store):
+        return {t: store.conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone()[0]
+                for t in tables}
+
+    with OdsStore(rschema) as store:
+        load(shredded(image_doc(schema), schema, rschema), store)
+        before = counts(store)
+        with pytest.raises(sqlite3.Error):
+            load(rows, store)
+        assert counts(store) == before
+    assert before["subdocument"] == 1 and before["tuple_g1"] == 0
+
+
 def test_two_rows_of_a_singular_child_are_rejected(schema, rschema):
     rows = shredded(image_doc(schema), schema, rschema)
     images = rows.tables["image"]
