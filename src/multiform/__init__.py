@@ -47,7 +47,7 @@ from .model import (
     make_complex_object,
 )
 from .sidecar import SidecarRecord, parse_sidecar
-from .xmldoc import format_document, parse_document, serialize
+from .xmldoc import parse_document, serialize
 
 __version__ = "0.1.0"
 
@@ -84,7 +84,6 @@ __all__ = [
     "extract_links",
     "extract_subdocument",
     "extract_text",
-    "format_document",
     "format_dtd",
     "ingest_relational_view",
     "load",

@@ -189,18 +189,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, MultiformError, OSError, sqlite3.Error) as exc:
         print(f"multiform: error: {exc}", file=sys.stderr)
-        return 1
-    except UnknownId as exc:
-        print(f"multiform: error: {exc}", file=sys.stderr)
-        return 4
-    except MultiformError as exc:
-        print(f"multiform: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, sqlite3.Error) as exc:
-        print(f"multiform: error: {exc}", file=sys.stderr)
-        return 2
+        return (1 if isinstance(exc, _UsageError) else
+                4 if isinstance(exc, UnknownId) else 2)
 
 
 def run() -> int:

@@ -103,6 +103,8 @@ _TOKEN_RE = re.compile(
 
 
 def _lex(text: str):
+    """The tokens, each (kind, text, line), ending with an "end" token on
+    the line of the last one before it."""
     tokens = []
     pos = 0
     line = 1
@@ -116,6 +118,7 @@ def _lex(text: str):
             tokens.append((kind, value, line))
         line += value.count("\n")
         pos = m.end()
+    tokens.append(("end", "end of input", tokens[-1][2] if tokens else 1))
     return tokens
 
 
@@ -132,33 +135,24 @@ class _Parser:
         self.tokens = _lex(text)
         self.i = 0
 
+    # every rule raises on the end token, so no read goes past the list
+
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
     def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    @property
-    def line(self):
-        tok = self.peek()
-        if tok is not None:
-            return tok[2]
-        return self.tokens[-1][2] if self.tokens else 1
+        self.i += 1
+        return self.tokens[self.i - 1]
 
     def expect(self, kind, what):
         tok = self.next()
-        if tok is None:
-            raise DtdSyntaxError(self.line, what, found="end of input")
         if tok[0] != kind:
             raise DtdSyntaxError(tok[2], what, found=tok[1])
         return tok
 
     def parse(self):
         decls = []
-        while self.peek() is not None:
+        while self.peek()[0] != "end":
             decls.append(self.declaration())
         if not decls:
             raise DtdSyntaxError(1, "at least one <!ELEMENT declaration",
@@ -167,8 +161,6 @@ class _Parser:
 
     def declaration(self):
         kind, value, line = self.next()
-        if kind == "decl":
-            raise DtdSyntaxError(line, "<!ELEMENT", found=value)
         if kind == "pe":
             raise DtdSyntaxError(line, "<!ELEMENT (parameter entities are not supported)",
                                  found=value)
@@ -180,14 +172,12 @@ class _Parser:
         return name, model, line
 
     def model(self, element):
-        tok = self.peek()
-        if tok is None:
-            raise DtdSyntaxError(self.line, "a content model", found="end of input")
-        if tok[0] == "name" and tok[1] in ("EMPTY", "ANY"):
-            raise DtdSyntaxError(tok[2], f"a parenthesized content model "
-                                         f"({tok[1]} is not supported)", found=tok[1])
-        if tok[0] != "lparen":
-            raise DtdSyntaxError(tok[2], "'('", found=tok[1])
+        kind, value, line = self.peek()
+        if kind == "end":
+            raise DtdSyntaxError(line, "a content model", found=value)
+        if kind == "name" and value in ("EMPTY", "ANY"):
+            raise DtdSyntaxError(line, f"a parenthesized content model "
+                                       f"({value} is not supported)", found=value)
         base = self.group(element, 1)
         if isinstance(base, PCData):
             return base
@@ -199,34 +189,25 @@ class _Parser:
         if depth > MAX_GROUP_DEPTH:
             raise DtdSyntaxError(line, f"groups nested at most {MAX_GROUP_DEPTH} deep",
                                  found="(")
-        tok = self.peek()
-        if tok is not None and tok[0] == "pcdata":
-            line = tok[2]
-            self.next()
-            after = self.peek()
-            if after is not None and after[0] == "pipe":
-                raise MixedContent(element, line)
-            if depth > 1:
+        if self.peek()[0] == "pcdata":
+            line = self.next()[2]
+            if depth > 1 or self.peek()[0] == "pipe":
                 raise MixedContent(element, line)
             self.expect("rparen", "')'")
             return PCData()
         parts = [self.particle(element, depth)]
         sep = None
         while True:
-            tok = self.peek()
-            if tok is None:
-                raise DtdSyntaxError(self.line, "',', '|' or ')'", found="end of input")
-            if tok[0] == "rparen":
-                self.next()
+            kind, value, line = self.next()
+            if kind == "rparen":
                 break
-            if tok[0] not in ("comma", "pipe"):
-                raise DtdSyntaxError(tok[2], "',', '|' or ')'", found=tok[1])
+            if kind not in ("comma", "pipe"):
+                raise DtdSyntaxError(line, "',', '|' or ')'", found=value)
             if sep is None:
-                sep = tok[0]
-            elif tok[0] != sep:
-                raise DtdSyntaxError(tok[2], f"'{',' if sep == 'comma' else '|'}'",
-                                     found=tok[1])
-            self.next()
+                sep = kind
+            elif kind != sep:
+                raise DtdSyntaxError(line, f"'{',' if sep == 'comma' else '|'}'",
+                                     found=value)
             parts.append(self.particle(element, depth))
         if sep == "pipe":
             return Choice(tuple(parts))
@@ -242,9 +223,6 @@ class _Parser:
 
     def particle(self, element, depth):
         tok = self.peek()
-        if tok is None:
-            raise DtdSyntaxError(self.line, "an element name or '('",
-                                 found="end of input")
         if tok[0] == "pcdata":
             raise MixedContent(element, tok[2])
         if tok[0] == "name":
@@ -259,7 +237,7 @@ class _Parser:
 
     def multiplicity(self):
         tok = self.peek()
-        if tok is not None and tok[0] in ("qmark", "star", "plus"):
+        if tok[0] in ("qmark", "star", "plus"):
             self.next()
             return tok[1]
         return None
@@ -355,20 +333,13 @@ def nullable(model) -> bool:
 
 
 class _Failure:
-    """Deepest failure position and the names that would have matched there."""
+    """Where a match failed and the names that would have matched there."""
 
     __slots__ = ("pos", "expected")
 
     def __init__(self):
         self.pos = -1
         self.expected = set()
-
-    def note(self, pos, name):
-        if pos > self.pos:
-            self.pos = pos
-            self.expected = {name}
-        elif pos == self.pos:
-            self.expected.add(name)
 
 
 # A content model compiles to a position automaton (Glushkov; Brueggemann-Klein
@@ -496,9 +467,10 @@ class _Automaton:
         """The decisions of the first match of the child name sequence, as a
         tuple, or None.
 
-        On failure, fail (a _Failure) notes the first position no thread
+        On failure, fail (a _Failure) is given the first position no thread
         got past and every name, or "end of children", that was expected
-        there.
+        there; every state has a step or ends the model, so that set is
+        never empty.
         """
         # threads: (state, the decision chains of its steps as a linked list,
         # last first), best first
@@ -535,11 +507,11 @@ class _Automaton:
 
     def _fail(self, threads, at, total, fail):
         if fail is not None:
+            fail.pos = at
             for state, _ in threads:
-                for name in self.steps[state]:
-                    fail.note(at, name)
+                fail.expected.update(self.steps[state])
                 if at < total and self.accept[state] is not None:
-                    fail.note(at, "end of children")
+                    fail.expected.add("end of children")
         return None
 
 
@@ -647,9 +619,9 @@ def _validate_tree(root, path, schema, out, matches):
             fail = _Failure()
             decisions = automata[element.tag].match(names, fail)
             if decisions is None:
-                at = fail.pos if fail.pos >= 0 else len(names)
+                at = fail.pos
                 found = names[at] if at < len(names) else "end of children"
-                expected = ", ".join(sorted(fail.expected)) or render_model(model)
+                expected = ", ".join(sorted(fail.expected))
                 out.append(Violation(
                     path,
                     f"children do not match the content model: at child {at + 1} "

@@ -208,13 +208,11 @@ class NotValidated(MultiformError):
 
 
 class SchemaMismatch(MultiformError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    """Rows or a stored table do not have the shape the mapping gives."""
 
 
 class IntegrityViolation(MultiformError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    """Rows would break a link or the store's constraints."""
 
 
 class UnknownId(MultiformError):

@@ -93,22 +93,6 @@ class Lines:
                 + "\n".join(self.lines) + "\n")
 
 
-def format_document(root: ET.Element, system_id: str = DEFAULT_SYSTEM_ID) -> str:
-    """Render an element tree in the canonical form."""
-    out = Lines()
-
-    def walk(element):
-        if len(element) == 0:
-            out.leaf(element.tag, element.text)
-        else:
-            with out.element(element.tag):
-                for child in element:
-                    walk(child)
-
-    walk(root)
-    return out.document(root.tag, system_id)
-
-
 # -- object -> lines -------------------------------------------------------------
 
 # outside XML 1.0's Char production (section 2.2): no escape can write these

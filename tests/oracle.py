@@ -14,6 +14,10 @@ element's children by walking its content model, filling a missing leaf
 with an empty element. `multiform.xmldoc.serialize` writes children
 straight from the object in declared order and must give the same bytes.
 
+`format_document` renders an element tree in the canonical form through
+the serializer's line writer, so a test can compare any tree's text with
+what `serialize` or `export` wrote.
+
 `to_object` rebuilds the typed object from a valid document tree, so a
 test can check that what `serialize` wrote reads back as the same object.
 """
@@ -33,7 +37,7 @@ from multiform.dtd import (
     nullable,
 )
 from multiform.errors import ModelViolation
-from multiform.xmldoc import DEFAULT_SYSTEM_ID, format_document
+from multiform.xmldoc import DEFAULT_SYSTEM_ID, Lines
 
 
 class Failure:
@@ -250,6 +254,22 @@ def arrange(name, payload, schema) -> ET.Element:
             f"{name} has children the content model does not allow: "
             + ", ".join(sorted(leftover)))
     return element
+
+
+def format_document(root, system_id=DEFAULT_SYSTEM_ID) -> str:
+    """Render an element tree in the canonical form."""
+    out = Lines()
+
+    def walk(element):
+        if len(element) == 0:
+            out.leaf(element.tag, element.text)
+        else:
+            with out.element(element.tag):
+                for child in element:
+                    walk(child)
+
+    walk(root)
+    return out.document(root.tag, system_id)
 
 
 def serialize(obj, schema, system_id=DEFAULT_SYSTEM_ID) -> str:

@@ -24,7 +24,7 @@ from multiform.dtd import (
 from multiform.extract import extract_image, extract_text
 from multiform.loader import OdsStore, export, load, shred
 from multiform.mapper import emit_ddl, map_schema
-from multiform.xmldoc import format_document
+from oracle import format_document
 
 
 def report(criterion, ok, detail):

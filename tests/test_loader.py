@@ -38,7 +38,8 @@ from multiform.model import (
     RelationalView,
     make_complex_object,
 )
-from multiform.xmldoc import format_document, parse_document, serialize
+from multiform.xmldoc import parse_document, serialize
+from oracle import format_document
 
 
 def image_doc(schema):

@@ -14,8 +14,8 @@ from multiform.loader import OdsStore, export, load, shred
 from multiform.mapper import map_schema
 from multiform.model import ImageMeta, Subdocument, make_complex_object
 from multiform.sidecar import parse_sidecar
-from multiform.xmldoc import format_document, parse_document, serialize
-from oracle import match_children, to_object
+from multiform.xmldoc import parse_document, serialize
+from oracle import format_document, match_children, to_object
 
 # every character XML 1.0 allows in text (the Char production, section 2.2);
 # the serializer writes \r as a character reference so that it survives the
