@@ -84,8 +84,8 @@ class DtdSchema:
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment><!--.*?-->)
-      | (?P<element><!ELEMENT(?=[\s(]))
-      | (?P<decl><!-?[A-Za-z\[]+)
+      | (?P<element><!ELEMENT(?![-\w.:]))
+      | (?P<decl><!-?[A-Za-z\[][-\w.:\[]*)
       | (?P<pcdata>\#PCDATA)
       | (?P<pe>%[^\s>]*)
       | (?P<name>[A-Za-z_:][-\w.:]*)

@@ -149,6 +149,20 @@ def test_syntax_errors_say_what_was_expected_and_found(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("<!ELEMENT>", "line 1: expected an element name, found '>'"),
+    ("<!ELEMENT A (B)>\n<!ELEMENT", "line 2: expected an element name, found 'end of input'"),
+    ("<!ELEMENT%e; (B)>", "line 1: expected an element name, found '%e;'"),
+    ("<!ELEMENTS A (B)>", "line 1: expected <!ELEMENT, found '<!ELEMENTS'"),
+    ("<!ELEMENT1 A (B)>", "line 1: expected <!ELEMENT, found '<!ELEMENT1'"),
+])
+def test_a_declaration_keyword_is_read_up_to_the_end_of_its_name(text, message):
+    # what follows <!ELEMENT is either part of the keyword or the next token
+    with pytest.raises(DtdSyntaxError) as err:
+        parse_dtd(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("text, line", [
     ("<!ELEMENT A (B, (#PCDATA))>", 1),
     ("<!ELEMENT A (B,\n #PCDATA)>", 2),
