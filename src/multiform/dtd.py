@@ -1,12 +1,14 @@
 """DTD parsing and document validation.
 
 The accepted subset is element declarations only: sequences, choices and
-the ``?``/``*``/``+`` multiplicities, plus ``(#PCDATA)`` leaves. Attribute
-lists, entities, notations, mixed content and the EMPTY/ANY keywords are
-rejected; comments are skipped, and groups nest at most MAX_GROUP_DEPTH
-deep. This is enough to express a content model as an ordinary regular
-expression over child element names, so validation is plain
-regular-language matching with a recorded failure position.
+the ``?``/``*``/``+`` multiplicities, plus ``(#PCDATA)`` leaves, also
+written ``(#PCDATA)*``. Attribute lists, entities, notations, mixed content
+and the EMPTY/ANY keywords are rejected; comments are skipped, and groups
+nest at most MAX_GROUP_DEPTH deep. This is enough to express a content
+model as an ordinary regular expression over child element names, so
+validation is plain regular-language matching with a recorded failure
+position. Errors are reported in text order, each with its line; CR, LF
+and CRLF each end a line.
 """
 
 from __future__ import annotations
@@ -91,35 +93,33 @@ _TOKEN_RE = re.compile(
       | (?P<name>[A-Za-z_:][-\w.:]*)
       | (?P<lparen>\()
       | (?P<rparen>\))
-      | (?P<comma>,)
-      | (?P<pipe>\|)
-      | (?P<qmark>\?)
-      | (?P<star>\*)
-      | (?P<plus>\+)
+      | (?P<sep>[,|])
+      | (?P<mult>[?*+])
       | (?P<gt>>)
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 
-def _lex(text: str):
-    """The tokens, each (kind, text, line), ending with an "end" token on
-    the line of the last one before it."""
-    tokens = []
+def _tokens(text: str):
+    """The tokens, each (kind, text, line), then endless "end" tokens on the
+    line of the last one before them. Each is lexed when the parser asks for
+    it, so the first error in the text is the one raised."""
     pos = 0
-    line = 1
+    line = last = 1
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise DtdSyntaxError(line, "a DTD token", found=text[pos])
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, value, line))
-        line += value.count("\n")
+        if kind in ("ws", "comment"):
+            line += m.group().count("\n")
+        else:
+            yield kind, m.group(), line
+            last = line
         pos = m.end()
-    tokens.append(("end", "end of input", tokens[-1][2] if tokens else 1))
-    return tokens
+    while True:
+        yield "end", "end of input", last
 
 
 # -- parser ----------------------------------------------------------------------
@@ -132,17 +132,22 @@ MAX_GROUP_DEPTH = 128
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _lex(text)
-        self.i = 0
-
-    # every rule raises on the end token, so no read goes past the list
+        self.tokens = _tokens(text)
+        self.ahead = None       # the token peek() lexed, until next() takes it
+        self.elements = {}      # name -> content model, in declaration order
+        self.refs = []          # (element, referenced name), in text order
 
     def peek(self):
-        return self.tokens[self.i]
+        if self.ahead is None:
+            self.ahead = next(self.tokens)
+        return self.ahead
 
     def next(self):
-        self.i += 1
-        return self.tokens[self.i - 1]
+        tok = self.ahead
+        if tok is None:
+            return next(self.tokens)
+        self.ahead = None
+        return tok
 
     def expect(self, kind, what):
         tok = self.next()
@@ -151,13 +156,12 @@ class _Parser:
         return tok
 
     def parse(self):
-        decls = []
         while self.peek()[0] != "end":
-            decls.append(self.declaration())
-        if not decls:
+            self.declaration()
+        if not self.elements:
             raise DtdSyntaxError(1, "at least one <!ELEMENT declaration",
                                  found="end of input")
-        return decls
+        return self.elements
 
     def declaration(self):
         kind, value, line = self.next()
@@ -167,9 +171,12 @@ class _Parser:
         if kind != "element":
             raise DtdSyntaxError(line, "<!ELEMENT", found=value)
         name = self.expect("name", "an element name")[1]
-        model = self.model(name)
+        if ":" in name:   # a document would read it as a namespace prefix
+            raise DtdSyntaxError(line, "an element name without ':'", found=name)
+        if name in self.elements:
+            raise DuplicateDeclaration(name, line)
+        self.elements[name] = self.model(name)
         self.expect("gt", ">")
-        return name, model, line
 
     def model(self, element):
         kind, value, line = self.peek()
@@ -180,6 +187,8 @@ class _Parser:
                                        f"({value} is not supported)", found=value)
         base = self.group(element, 1)
         if isinstance(base, PCData):
+            if self.peek()[1] == "*":   # (#PCDATA)* means (#PCDATA)
+                self.next()
             return base
         mult = self.multiplicity()
         return Repeat(base, mult) if mult else base
@@ -191,7 +200,7 @@ class _Parser:
                                  found="(")
         if self.peek()[0] == "pcdata":
             line = self.next()[2]
-            if depth > 1 or self.peek()[0] == "pipe":
+            if depth > 1 or self.peek()[1] == "|":
                 raise MixedContent(element, line)
             self.expect("rparen", "')'")
             return PCData()
@@ -201,24 +210,20 @@ class _Parser:
             kind, value, line = self.next()
             if kind == "rparen":
                 break
-            if kind not in ("comma", "pipe"):
+            if kind != "sep":
                 raise DtdSyntaxError(line, "',', '|' or ')'", found=value)
             if sep is None:
-                sep = kind
-            elif kind != sep:
-                raise DtdSyntaxError(line, f"'{',' if sep == 'comma' else '|'}'",
-                                     found=value)
+                sep = value
+            elif value != sep:
+                raise DtdSyntaxError(line, f"'{sep}'", found=value)
             parts.append(self.particle(element, depth))
-        if sep == "pipe":
+        if sep == "|":
             return Choice(tuple(parts))
         if len(parts) == 1:
             return parts[0]
         flat = []
         for p in parts:
-            if isinstance(p, Sequence):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
+            flat.extend(p.parts if isinstance(p, Sequence) else (p,))
         return Sequence(tuple(flat))
 
     def particle(self, element, depth):
@@ -227,6 +232,7 @@ class _Parser:
             raise MixedContent(element, tok[2])
         if tok[0] == "name":
             self.next()
+            self.refs.append((element, tok[1]))
             base = ElementRef(tok[1])
         elif tok[0] == "lparen":
             base = self.group(element, depth + 1)
@@ -237,7 +243,7 @@ class _Parser:
 
     def multiplicity(self):
         tok = self.peek()
-        if tok[0] in ("qmark", "star", "plus"):
+        if tok[0] == "mult":
             self.next()
             return tok[1]
         return None
@@ -249,32 +255,17 @@ def parse_dtd(text: str) -> DtdSchema:
     The root is the first declared element no other element references.
     A leading byte order mark is skipped.
     """
-    decls = _Parser(text.removeprefix("\ufeff")).parse()
-    elements = {}
-    order = []
-    for name, model, line in decls:
-        if ":" in name:   # a document would read it as a namespace prefix
-            raise DtdSyntaxError(line, "an element name without ':'", found=name)
-        if name in elements:
-            raise DuplicateDeclaration(name, line)
-        elements[name] = model
-        order.append(name)
-
-    referenced = set()
-    for name, model in elements.items():
-        # left to right, so the first undeclared reference in the text is reported
-        stack = [] if isinstance(model, PCData) else [model]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ElementRef):
-                if node.name not in elements:
-                    raise UndeclaredReference(name, node.name)
-                referenced.add(node.name)
-            stack.extend(reversed(_children(node)))
-
-    for name in order:
+    # XML 1.0 section 2.11: CRLF and a lone CR each read as one LF
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    parser = _Parser(text)
+    elements = parser.parse()
+    for element, name in parser.refs:
+        if name not in elements:
+            raise UndeclaredReference(element, name)
+    referenced = {name for _, name in parser.refs}
+    for name in elements:
         if name not in referenced:
-            return DtdSchema(names=tuple(order), elements=elements, root=name)
+            return DtdSchema(names=tuple(elements), elements=elements, root=name)
     raise NoRootElement()
 
 

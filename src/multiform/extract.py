@@ -221,7 +221,7 @@ def ingest_relational_view(data_path: str,
     text = read_text(data_path).removeprefix("\ufeff")
     # the limit is process-wide: raise it to fit this text, never lower it
     csv.field_size_limit(max(csv.field_size_limit(), len(text)))
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     try:
         rows = list(reader)
     except csv.Error as exc:

@@ -173,6 +173,52 @@ def test_pcdata_among_child_elements_is_mixed_content(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("<!ELEMENT A EMPTY>\n<!ATTLIST A x CDATA #IMPLIED>", DtdSyntaxError,
+     "line 1: expected a parenthesized content model (EMPTY is not supported), "
+     "found 'EMPTY'"),
+    ('<!ATTLIST A x CDATA "d">', DtdSyntaxError,
+     "line 1: expected <!ELEMENT, found '<!ATTLIST'"),
+    ("<!ELEMENT A (#PCDATA)>\n<!ELEMENT A (#PCDATA)>\n<!ELEMENT C (",
+     DuplicateDeclaration, "line 2: element A declared twice"),
+    ("<!ELEMENT a:b (#PCDATA)>\n<!ELEMENT C (", DtdSyntaxError,
+     "line 1: expected an element name without ':', found 'a:b'"),
+])
+def test_the_first_error_in_the_text_is_reported(text, error, message):
+    # a later line that no token matches, or that breaks off, comes second
+    with pytest.raises(error) as err:
+        parse_dtd(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    "<!ELEMENT A (#PCDATA)*>",
+    "<!ELEMENT A (#PCDATA) <!-- any number of -->\n*>",
+])
+def test_pcdata_star_is_pcdata(text):
+    # XML 1.0 production [51] allows the * form of a character-data group
+    assert parse_dtd(text).elements == {"A": PCData()}
+    assert format_dtd(parse_dtd(text)) == "<!ELEMENT A (#PCDATA)>\n"
+
+
+@pytest.mark.parametrize("mult", ["+", "?", "**"])
+def test_pcdata_takes_no_other_multiplicity(mult):
+    with pytest.raises(DtdSyntaxError) as err:
+        parse_dtd(f"<!ELEMENT A (#PCDATA){mult}>")
+    assert str(err.value) == f"line 1: expected >, found '{mult[-1]}'"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+def test_cr_lf_and_crlf_each_end_one_line(newline):
+    text = f"<!-- a{newline}b -->{newline}<!ELEMENT A (B)>{newline}<!ELEMENT B ()>{newline}"
+    with pytest.raises(DtdSyntaxError) as err:
+        parse_dtd(text)
+    assert err.value.line == 4
+    with pytest.raises(DtdSyntaxError) as err:
+        parse_dtd("<!ELEMENT A (B)>\r\n\r<!ELEMENT B ()>")   # CRLF, then CR
+    assert err.value.line == 3
+
+
 def test_syntax_error_carries_line_and_found_token():
     with pytest.raises(DtdSyntaxError) as err:
         parse_dtd("<!ELEMENT A (B)>\n<!ELEMENT B ()>\n")

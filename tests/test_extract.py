@@ -299,6 +299,23 @@ def test_quoted_cells_may_contain_delimiters_and_newlines(write):
     assert [c.value for c in view.tuples[0].cells] == ["x,y", "l1\nl2"]
 
 
+@pytest.mark.parametrize("name, delimiter", [("t.csv", ","), ("t.tsv", "\t")])
+def test_rows_may_end_in_lf_crlf_or_cr(write, name, delimiter):
+    lf = f"a{delimiter}b\n1{delimiter}2\n{delimiter}x\n"
+    view = ingest_relational_view(write(name, lf.encode()))
+    assert len(view.tuples) == 2
+    for newline in ("\r\n", "\r"):
+        text = lf.replace("\n", newline)
+        assert ingest_relational_view(write(name, text.encode())) == view
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_a_quoted_cr_stays_in_its_cell(write, newline):
+    text = f'a,b{newline}"x\ry",z{newline}'
+    view = ingest_relational_view(write("t.csv", text.encode()))
+    assert [c.value for c in view.tuples[0].cells] == ["x\ry", "z"]
+
+
 @pytest.mark.parametrize("content", ["", "\n", "\na,b\n"])
 def test_empty_header_is_rejected(write, content):
     with pytest.raises(EmptyHeader):
