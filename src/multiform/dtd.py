@@ -190,8 +190,7 @@ class _Parser:
             if self.peek()[1] == "*":   # (#PCDATA)* means (#PCDATA)
                 self.next()
             return base
-        mult = self.multiplicity()
-        return Repeat(base, mult) if mult else base
+        return self.repeated(base)
 
     def group(self, element, depth):
         line = self.expect("lparen", "'('")[2]
@@ -238,15 +237,15 @@ class _Parser:
             base = self.group(element, depth + 1)
         else:
             raise DtdSyntaxError(tok[2], "an element name or '('", found=tok[1])
-        mult = self.multiplicity()
-        return Repeat(base, mult) if mult else base
+        return self.repeated(base)
 
-    def multiplicity(self):
+    def repeated(self, base):
+        """base, or base under the multiplicity that follows it."""
         tok = self.peek()
         if tok[0] == "mult":
             self.next()
-            return tok[1]
-        return None
+            return Repeat(base, tok[1])
+        return base
 
 
 def parse_dtd(text: str) -> DtdSchema:
