@@ -214,11 +214,18 @@ def ingest_relational_view(data_path: str,
     Every attribute's domain is "string" and the query is None: both are
     captured metadata, which apply_sidecar overlays. With intention_only the
     data rows are dropped and only the attributes are kept. A leading byte
-    order mark is skipped, and a cell may be as long as the file.
+    order mark is skipped, a cell may be as long as the file, and a NUL is
+    refused with its line, LF, CRLF and CR each ending one.
     """
     _kind_among(data_path, KIND_RELATIONAL_VIEW)
     delimiter = "\t" if PurePath(data_path).suffix.lower() == ".tsv" else ","
     text = read_text(data_path).removeprefix("\ufeff")
+    # the csv module refuses a NUL before Python 3.11 and passes it on after
+    nul = text.find("\0")
+    if nul >= 0:
+        head = text[:nul]
+        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        raise MalformedTable(data_path, line, "line contains NUL")
     # the limit is process-wide: raise it to fit this text, never lower it
     csv.field_size_limit(max(csv.field_size_limit(), len(text)))
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)

@@ -45,8 +45,8 @@ from .xmldoc import DEFAULT_SYSTEM_ID, Lines, xml_escape
 @dataclass
 class RowSet:
     """One document's rows: `tables` maps a table name to its rows, each a
-    list of values in `column_names()` order. Ids count from 1 per table,
-    and a parent id is the id of a row in the parent table's list."""
+    list of values in `column_names()` order. Ids count from 1 per table in
+    row order, and a parent id is the id of a row in the parent table's list."""
 
     tables: dict = field(default_factory=dict)
 
@@ -136,14 +136,15 @@ class OdsStore:
     already holds data compares each table's CREATE statement with its
     emit_ddl line instead of recreating them, so a store can be filled over
     several runs; indexes, triggers and sqlite_ tables are not compared.
-    It then refuses a store holding a link to no row. to_script() renders
-    the whole store as portable SQL.
+    It then refuses a store holding a link that is NULL or names no row.
+    SQLite's foreign-key engine stays off: load proves each link it writes
+    before it writes it, and a row written through `conn` is checked when the
+    store is next opened. to_script() renders the whole store as portable SQL.
     """
 
     def __init__(self, rschema: RelationalSchema, path: str = ":memory:"):
         self.rschema = rschema
         self.conn = sqlite3.connect(path, isolation_level=None)
-        self.conn.execute("PRAGMA foreign_keys = ON")
         ddl = emit_ddl(rschema).splitlines()
         existing = self._tables()
         if not existing:
@@ -168,10 +169,15 @@ class OdsStore:
                         if existing.get(n) != expected.get(n))
             raise SchemaMismatch(f"store table {name} is {existing.get(name)!r}, "
                                  f"the schema expects {expected.get(name)!r}")
-        # a writer with foreign keys off can leave a link to no row, and
+        # another writer can leave a link that is NULL or names no row, and
         # export would skip its row without a word
-        for table, rowid, parent, _ in self.conn.execute("PRAGMA foreign_key_check"):
-            raise IntegrityViolation(f"row {rowid} of {table} links to no row of {parent}")
+        for t in rschema.tables:
+            if t.fk is not None:
+                for rowid, in self.conn.execute(
+                        f"SELECT c.id FROM {t.quoted} AS c LEFT JOIN {quote(t.parent)} AS p "
+                        f"ON p.id = c.{quote(t.fk)} WHERE p.id IS NULL LIMIT 1"):
+                    raise IntegrityViolation(
+                        f"row {rowid} of {t.name} links to no row of {t.parent}")
 
     def _tables(self) -> dict:
         """name -> CREATE statement of each table, less SQLite's own."""
@@ -214,9 +220,12 @@ class LoadReport:
 def load(rows: RowSet, store: OdsStore) -> LoadReport:
     """Apply a RowSet to the store, all rows or none.
 
-    Ids in the RowSet start at 1; here they are offset by each table's
-    current maximum so repeated loads accumulate instead of clashing.
-    Rows go in one batch per table, tables in schema order (parents first).
+    Before the store is touched, each table's ids must count from 1 in row
+    order and each parent id must name a row of the parent table's batch:
+    that proves every link written here. Ids are then offset by each table's
+    current maximum so repeated loads accumulate instead of clashing. Rows
+    go in one batch per table, tables in schema order; parents first is
+    only the order, as SQLite checks no link on insert.
     """
     rschema = store.rschema
     for name, batch in rows.tables.items():
@@ -225,13 +234,16 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
             raise SchemaMismatch(f"RowSet names unknown table {name!r}")
         parents = set()
         last_parent = len(rows.tables.get(table.parent, ()))
-        for row in batch:
+        for number, row in enumerate(batch, 1):
             if len(row) != len(table.columns):
                 raise SchemaMismatch(f"a row of {name} holds {len(row)} values, "
                                      f"not one per column")
             if not isinstance(row[ID], int) or (
                     table.fk is not None and not isinstance(row[FK], int)):
                 raise SchemaMismatch(f"a row of {name} has an id that is not an integer")
+            if row[ID] != number:
+                raise IntegrityViolation(f"row {number} of {name} has id {row[ID]}, "
+                                         f"but ids count from 1 in row order")
             if table.fk is not None and not 0 < row[FK] <= last_parent:
                 raise IntegrityViolation(f"a row of {name} names parent id {row[FK]}, "
                                          f"not a row of {table.parent} in this RowSet")
@@ -242,7 +254,7 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
                         f"parent id {row[FK]} got two")
                 parents.add(row[FK])
 
-    counts = {t.name: 0 for t in rschema.tables}
+    counts = {t.name: len(rows.tables.get(t.name, ())) for t in rschema.tables}
     filled = [t for t in rschema.tables if rows.tables.get(t.name)]
     maxima = ", ".join(f"(SELECT COALESCE(MAX(id), 0) FROM {t.quoted})" for t in filled)
     # offsets are read inside the write transaction, so a concurrent load
@@ -261,7 +273,6 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
             else:
                 params = ([row[ID] + shift, *row[ID + 1:]] for row in batch)
             store.conn.executemany(table.insert, params)
-            counts[table.name] = len(batch)
     except sqlite3.IntegrityError as exc:
         store.conn.execute("ROLLBACK")
         raise IntegrityViolation(str(exc)) from None
@@ -280,20 +291,17 @@ class _Exporter:
     Each table is read once, when the plan first reaches it, and its rows
     are kept grouped by parent id."""
 
-    def __init__(self, conn, root_table, object_id):
+    def __init__(self, conn, root_table, root_row):
         self.conn = conn
-        self.children = {}   # table name -> {parent id: [rows in pos order]}
-        self.ids = {root_table: {object_id}}   # table name -> row ids
+        # table name -> {parent id: [rows in pos order]}; the root has no parent
+        self.children = {root_table: {None: [root_row]}}
         self.out = Lines()
 
     def select(self, table, parent_id):
         by_parent = self.children.get(table.name)
         if by_parent is None:
-            parents = self.ids.get(table.parent)
-            if parents is None:
-                parents = self.ids[table.parent] = {
-                    row[ID] for rows in self.children[table.parent].values()
-                    for row in rows}
+            parents = {row[ID] for rows in self.children[table.parent].values()
+                       for row in rows}
             # the id range only prunes: other documents' rows may fall inside
             # it, so only groups under a parent row of this document are kept
             cur = self.conn.execute(table.select, (min(parents), max(parents)))
@@ -356,6 +364,6 @@ def export(store: OdsStore, object_id: int, schema: DtdSchema,
     row = store.conn.execute(plan[0].select, (object_id,)).fetchone()
     if row is None:
         raise UnknownId(rschema.root_table, object_id)
-    exporter = _Exporter(store.conn, rschema.root_table, object_id)
+    exporter = _Exporter(store.conn, rschema.root_table, row)
     exporter.element(plan, row)
     return exporter.out.document(rschema.root_element, system_id)

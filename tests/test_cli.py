@@ -466,8 +466,8 @@ def test_characters_xml_cannot_hold_are_an_input_error(workdir, capsys,
 
 def test_a_table_the_csv_reader_rejects_is_an_input_error(workdir, capsys, monkeypatch):
     # Read with newline="", the csv module rejects a cell over its field limit
-    # (and, before Python 3.11, a NUL). Ingest raises the limit to fit the
-    # file, so this test holds it below one cell.
+    # (and, before Python 3.11, a NUL, which ingest refuses first). Ingest
+    # raises the limit to fit the file, so this test holds it below one cell.
     set_limit = csv.field_size_limit
     old = set_limit(4)
     monkeypatch.setattr(csv, "field_size_limit", lambda *new: 4)
@@ -478,6 +478,15 @@ def test_a_table_the_csv_reader_rejects_is_an_input_error(workdir, capsys, monke
             one_line_error(capsys)
     finally:
         set_limit(old)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("name, delimiter", [("t.csv", ","), ("t.tsv", "\t")])
+def test_a_nul_in_a_table_is_an_input_error(workdir, capsys, name, delimiter, newline):
+    put(workdir, name, f"a{delimiter}b{newline}1\0{delimiter}2{newline}".encode())
+    assert main(["ingest", name, "--out", "t.xml"]) == 2
+    assert one_line_error(capsys).endswith(f"{name!r} line 2: line contains NUL")
+    assert not (workdir / "t.xml").exists()
 
 
 @pytest.mark.parametrize("update", [
@@ -498,19 +507,22 @@ def test_the_store_refuses_a_blob_when_it_is_written(workdir, capsys, update):
     assert (workdir / "back.xml").read_bytes() == (workdir / "s.xml").read_bytes()
 
 
-def test_a_store_with_a_dangling_link_is_refused(workdir, capsys):
-    # sqlite3 leaves foreign keys off, so SQLite takes a link to no row
+@pytest.mark.parametrize("link", ["99", "NULL"])
+def test_a_store_with_a_dangling_link_is_refused(workdir, capsys, link):
+    # foreign keys are off, so SQLite takes a link to no row, and a STRICT
+    # INTEGER column takes NULL
     put(workdir, "s.txt", "once\n")
     assert main(["ingest", "s.txt", "--keywords", "a", "--out", "s.xml"]) == 0
     assert main(["load", "s.xml", "--db", "b.db"]) == 0
     with sqlite3.connect(workdir / "b.db") as conn:
-        conn.execute("UPDATE keyword SET subdocument_id = 99")
+        conn.execute(f"UPDATE keyword SET subdocument_id = {link}")
     conn.close()
     capsys.readouterr()
-    assert main(["export", "--db", "b.db", "--id", "1"]) == 2
-    assert one_line_error(capsys) == \
-        "multiform: error: row 1 of keyword links to no row of subdocument"
-    assert capsys.readouterr().out == ""
+    for command in (["export", "--db", "b.db", "--id", "1"],
+                    ["load", "s.xml", "--db", "b.db"]):
+        assert main(command) == 2
+        assert capsys.readouterr() == (
+            "", "multiform: error: row 1 of keyword links to no row of subdocument\n")
 
 
 def test_a_store_made_before_tables_were_strict_is_refused(workdir, capsys):

@@ -8,6 +8,7 @@ from multiform.errors import (
     EmptyHeader,
     FileNotReadable,
     InvalidEncoding,
+    MalformedTable,
     MissingSidecarField,
     RaggedRow,
     UnknownExtension,
@@ -320,6 +321,18 @@ def test_a_quoted_cr_stays_in_its_cell(write, newline):
 def test_empty_header_is_rejected(write, content):
     with pytest.raises(EmptyHeader):
         ingest_relational_view(write("t.csv", content))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("name, delimiter", [("t.csv", ","), ("t.tsv", "\t")])
+def test_a_nul_is_refused_with_its_line(write, name, delimiter, newline):
+    # the csv module refuses a NUL before Python 3.11 and passes it on after;
+    # the line counts the file's line ends, a quoted one included
+    text = f'a{delimiter}b{newline}"1{newline}2"{delimiter}3{newline}x\0{delimiter}y{newline}'
+    path = write(name, text.encode())
+    with pytest.raises(MalformedTable) as err:
+        ingest_relational_view(path)
+    assert str(err.value) == f"{path!r} line 4: line contains NUL"
 
 
 def test_ragged_row_reports_its_data_row_number(write):

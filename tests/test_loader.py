@@ -321,6 +321,19 @@ def test_a_parent_id_outside_the_rowset_is_rejected(schema, rschema,
     assert f"parent id {parent_id}" in str(err.value)
 
 
+def test_ids_that_do_not_count_from_1_are_rejected(schema, rschema):
+    # stored as given, the subdocument's parent id 1 would name no row
+    root = [5, "x", "d", "s"]
+    sub = [1, 1, 1, "d", "Text", "1", "l", None, "TEXT"]
+    with OdsStore(rschema) as store:
+        load(shredded(image_doc(schema), schema, rschema), store)
+        before = store.to_script()
+        with pytest.raises(IntegrityViolation) as err:
+            load(RowSet({"complex_object": [root], "subdocument": [sub]}), store)
+        assert store.to_script() == before
+    assert "row 1 of complex_object has id 5" in str(err.value)
+
+
 def test_a_failing_late_batch_leaves_the_store_as_it_was(schema, rschema):
     # tuple_g1 goes in after the view's earlier tables have been inserted
     rows = shredded(view_doc(schema), schema, rschema)
@@ -583,15 +596,25 @@ def test_export_from_a_store_whose_documents_interleave(schema, rschema):
         assert export(store, 2, schema, rschema) == b
 
 
-def test_every_document_of_a_crowded_store_exports(schema, rschema):
+def test_every_document_of_a_crowded_store_exports(schema, rschema, tmp_path):
+    # SQLite's foreign-key engine is off, so load's own check is the only
+    # proof of the links it writes: the engine's check finds no row to
+    # refuse, and the store's own check lets it reopen
     rng = random.Random(5)
     texts = []
-    with OdsStore(rschema) as store:
-        for _ in range(40):
+    path = str(tmp_path / "crowded.db")
+    with OdsStore(rschema, path) as store:
+        for k in range(41):
+            if k == 20:   # a 900-tuple view among the generated documents
+                texts.append(many_tuples_doc(schema, 900))
+                load(shredded(texts[-1], schema, rschema), store)
+                continue
             document = generate_document(schema, rng)
             texts.append(format_document(document))
             load(shred(document, schema, rschema, validate(document, schema)),
                  store)
+        assert store.conn.execute("PRAGMA foreign_key_check").fetchall() == []
+    with OdsStore(rschema, path) as store:
         order = list(range(1, len(texts) + 1))
         rng.shuffle(order)
         for object_id in order:
