@@ -197,19 +197,45 @@ _DOCTYPE = re.compile(r"\ufeff?(?:\s|<\?(?:[^?]|\?(?!>))*\?>|<!--(?:[^-]|-(?!-))
                       r"<!DOCTYPE\s+([^\s\[>]+)")
 
 
+_SLICE = 1 << 16   # characters encoded and fed to the parser at a time
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _parse(text: str, size: int) -> ET.Element:
+    """`text` parsed as UTF-8, encoded and fed `size` characters at a time."""
+    parser = ET.XMLParser(encoding="utf-8")
+    for start in range(0, len(text), size):
+        parser.feed(text[start:start + size].encode())
+    return parser.close()
+
+
 def parse_document(text: str) -> Document:
     """Parse well-formed XML into an element tree.
 
-    Comments and processing instructions are skipped; attributes are not
-    part of the document shape this package produces and are rejected.
+    The text is read as UTF-8 whatever its declaration names. It is
+    encoded and fed in slices of 64 Ki characters, each dropped once fed,
+    so no UTF-8 copy of the whole text is made or left on it; only a text
+    that is not well-formed is fed again whole, for its error. A lone
+    surrogate is not well-formed. Comments and processing instructions are
+    skipped; attributes are not part of the document shape this package
+    produces and are rejected.
     """
-    parser = ET.XMLParser()
     try:
-        parser.feed(text)
-        root = parser.close()
+        try:
+            root = _parse(text, _SLICE)
+        except ET.ParseError:
+            # after the root, expat reports a token or a CRLF cut between two
+            # feeds unlike the same one fed whole: report what the whole gives
+            root = _parse(text, len(text) + 1)
     except ET.ParseError as exc:
         line = exc.position[0] if exc.position else 0
         raise NotWellFormed(line, str(exc)) from None
+    except UnicodeEncodeError:
+        # LF, CRLF and CR each end a line, as the parser counts them
+        at = _SURROGATE.search(text).start()
+        line = text.count("\n", 0, at) + text.count("\r", 0, at) - text.count("\r\n", 0, at)
+        raise NotWellFormed(line + 1, f"U+{ord(text[at]):04X} is a lone surrogate, "
+                                      "which XML 1.0 cannot represent") from None
     for element in root.iter():
         if element.keys():
             raise UnsupportedConstruct(

@@ -223,7 +223,6 @@ def test_names_sqlite_or_the_parser_cannot_hold_fail_at_schema(workdir, capsys,
     put(workdir, "t.dtd", dtd + "\n")
     assert main(["schema", "--dtd", "t.dtd"]) == 2
     assert message in one_line_error(capsys)
-    assert capsys.readouterr().out == ""
 
 
 # -- validate ----------------------------------------------------------------------
@@ -259,8 +258,11 @@ def test_validate_malformed_xml(workdir):
 
 
 def one_line_error(capsys):
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("multiform: error: "), lines
+    """The one stderr line of a failed command, which printed nothing to stdout."""
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1 and lines[0].startswith("multiform: error: "), \
+        (out, lines)
     return lines[0]
 
 
@@ -600,7 +602,6 @@ def test_load_into_a_file_that_is_not_a_database(workdir, capsys):
     capsys.readouterr()
     assert main(["load", "out.xml", "--db", "junk.db"]) == 2
     assert "file is not a database" in one_line_error(capsys)
-    assert capsys.readouterr().out == ""
 
 
 # -- the error contract under arbitrary input ---------------------------------------

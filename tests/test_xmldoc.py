@@ -1,3 +1,4 @@
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -28,6 +29,7 @@ from multiform.model import (
     make_complex_object,
 )
 from multiform.xmldoc import (
+    _SLICE as SLICE,
     parse_document,
     serialize,
     xml_escape,
@@ -192,6 +194,77 @@ def test_parse_rejects_attributes():
 def test_entity_references_are_resolved():
     doc = parse_document("<A>x &amp; y &lt;z&gt;</A>")
     assert doc.root.text == "x & y <z>"
+
+
+# -- parsing in slices --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("char", ["x", "\xe9", "€", "\U0001f600"],
+                         ids=["ascii", "latin-1", "bmp", "astral"])
+def test_parse_leaves_no_utf8_copy_on_the_text(char):
+    text = "<A>" + char * 3000 + "</A>"   # built here, so nothing cached it
+    size = sys.getsizeof(text)
+    assert parse_document(text).root.text == char * 3000
+    assert sys.getsizeof(text) == size
+
+
+def shape(element) -> tuple:
+    return element.tag, element.text, element.tail, [shape(c) for c in element]
+
+
+def outcome(parse, text):
+    """The tree's shape, or the line and message of the failure."""
+    try:
+        return shape(parse(text))
+    except NotWellFormed as exc:
+        return exc.line, exc.reason
+    except ET.ParseError as exc:
+        return exc.position[0], str(exc)
+
+
+def at_boundary(tail: str, head: str = "<A>", pad: str = "x") -> str:
+    """`head`, `pad` repeated, then `tail` starting one character before
+    the second slice."""
+    return head + pad * (SLICE - 1 - len(head)) + tail
+
+
+@pytest.mark.parametrize("text", [
+    at_boundary("\xe9\U0001f600</A>"),
+    at_boundary("\U0001f600€</A>"),
+    at_boundary("\r\ny</A>"),
+    at_boundary("\r\n<A/>", "", " "),
+    at_boundary("\r\n\n<", "<A/>", " "),
+    at_boundary("\r\n" + "\r\n" * SLICE + "<", "<A/>", "\n"),
+    at_boundary("\xe9\xe9&", "<A/>\n", "\xe9"),
+    at_boundary("</B></A>", "<A><B>"),
+    at_boundary("z\n\n</B>"),
+    at_boundary("</A>" + "<B>\xe9</B>\n" * 10),
+    at_boundary("\xe9</A>", '<?xml version="1.0" encoding="ISO-8859-1"?>\n<A>'),
+    at_boundary("\xe9</A>", '<?xml version="1.0" encoding="UTF-16"?>\n<A>'),
+    "<A>\n" + "<B>\xe9 \U0001f600</B>\r\n" * (SLICE // 5) + "</A>",
+], ids=["two-byte-then-astral", "astral-then-bmp", "crlf", "crlf-before-the-root",
+        "crlf-after-the-root", "crlf-after-the-root-twice", "name-after-the-root",
+        "close-tag", "error-after", "error-in-second-slice", "iso-8859-1", "utf-16",
+        "many-slices"])
+def test_a_text_longer_than_a_slice_parses_as_a_whole(text):
+    assert len(text) > SLICE
+    assert outcome(lambda t: parse_document(t).root, text) == outcome(ET.fromstring, text)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("<A>\ud800</A>", 1),
+    ("<A>\n\r\n\udfff</A>", 3),
+    ("<A>\r\r<B>\udbff\U0001f600</B></A>", 3),
+    ("<A>\n" + "x" * SLICE + "\n\ud800</A>", 3),
+    ("<A>" + "\xe9" * (SLICE + 5) + "\ud800</A>", 1),
+], ids=["line-1", "line-3", "line-3-cr", "past-a-slice", "past-a-slice-line-1"])
+def test_a_lone_surrogate_is_not_well_formed(text, line):
+    code_point = next(f"U+{ord(c):04X}" for c in text if "\ud800" <= c <= "\udfff")
+    with pytest.raises(NotWellFormed) as err:
+        parse_document(text)
+    assert err.value.line == line
+    assert err.value.reason == (f"{code_point} is a lone surrogate, "
+                                "which XML 1.0 cannot represent")
 
 
 # -- object round trip -------------------------------------------------------------
