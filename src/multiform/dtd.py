@@ -550,35 +550,23 @@ def _child_paths(parent_path, names):
 def validate(document, schema: DtdSchema) -> ValidationReport:
     """Check an element tree against the schema.
 
-    The report lists every violation found; whitespace-only text between
-    child elements is formatting and is ignored.
+    The report lists every violation found, in document order; whitespace-only
+    text between child elements is formatting and is ignored.
     """
-    violations = []
-    matches = {}
+    # A match depends only on the element's tag and its children's names, and
+    # neither its decisions nor its failure names a child, so `shapes` keeps
+    # each shape's outcome from its one match: the decisions, or the _Failure.
+    # Every element of a failing shape takes its own violation from it. A text
+    # leaf (a declared #PCDATA element with no child elements) has nothing to
+    # check, so it gets neither a path nor a visit. Elements are visited in
+    # document order from an explicit stack, so depth costs no recursion.
+    elements, automata = schema.elements, schema._automata
+    out, matches, shapes = [], {}, {}
     path = "/" + document.tag
     if document.tag != schema.root:
-        violations.append(Violation(path, f"root element must be {schema.root}",
-                                    expected=schema.root))
-    if document.tag in schema.elements:
-        _validate_tree(document, path, schema, violations, matches)
-    return ValidationReport(document=document, valid=not violations,
-                            violations=tuple(violations), matches=matches)
-
-
-# A match depends only on the element's tag and its children's names, and
-# its decisions name no child, so every element of one shape shares the
-# decisions of the first one matched. Only successful matches are
-# kept in `shapes`: a shape that fails is matched again at each element, which
-# gives each failure its own violation exactly as a first match would. A text
-# leaf (a declared #PCDATA element with no child elements) has nothing to
-# check, so it gets neither a path nor a visit. Elements are visited in
-# document order from an explicit stack, so nesting depth costs no recursion.
-
-
-def _validate_tree(root, path, schema, out, matches):
-    elements, automata = schema.elements, schema._automata
-    shapes = {}
-    stack = [(root, path)]
+        out.append(Violation(path, f"root element must be {schema.root}",
+                             expected=schema.root))
+    stack = [(document, path)] if document.tag in elements else []
     while stack:
         element, path = stack.pop()
         model = elements.get(element.tag)
@@ -604,24 +592,23 @@ def _validate_tree(root, path, schema, out, matches):
 
         names = [c.tag for c in children]
         shape = (element.tag, tuple(names))
-        decisions = shapes.get(shape)
-        if decisions is None:
+        outcome = shapes.get(shape)
+        if outcome is None:
             fail = _Failure()
             decisions = automata[element.tag].match(names, fail)
-            if decisions is None:
-                at = fail.pos
-                found = names[at] if at < len(names) else "end of children"
-                expected = ", ".join(sorted(fail.expected))
-                out.append(Violation(
-                    path,
-                    f"children do not match the content model: at child {at + 1} "
-                    f"expected one of {{{expected}}}, found {found}",
-                    expected=render_model(model),
-                ))
-            else:
-                shapes[shape] = decisions
-        if decisions is not None:
-            matches[element] = decisions
+            outcome = shapes[shape] = fail if decisions is None else decisions
+        if isinstance(outcome, _Failure):
+            at = outcome.pos
+            found = names[at] if at < len(names) else "end of children"
+            expected = ", ".join(sorted(outcome.expected))
+            out.append(Violation(
+                path,
+                f"children do not match the content model: at child {at + 1} "
+                f"expected one of {{{expected}}}, found {found}",
+                expected=render_model(model),
+            ))
+        else:
+            matches[element] = outcome
 
         child_paths = None
         for k in range(len(children) - 1, -1, -1):  # pushed last to first
@@ -631,6 +618,8 @@ def _validate_tree(root, path, schema, out, matches):
             if child_paths is None:
                 child_paths = _child_paths(path, names)
             stack.append((child, child_paths[k]))
+    return ValidationReport(document=document, valid=not out,
+                            violations=tuple(out), matches=matches)
 
 
 # -- bundled schema -----------------------------------------------------------------

@@ -41,6 +41,8 @@ from .mapper import (
 )
 from .xmldoc import DEFAULT_SYSTEM_ID, Lines, xml_escape
 
+MAX_ID = 2**63 - 1   # the largest SQLite INTEGER
+
 
 @dataclass
 class RowSet:
@@ -223,7 +225,8 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
     Before the store is touched, each table's ids must count from 1 in row
     order and each parent id must name a row of the parent table's batch:
     that proves every link written here. Ids are then offset by each table's
-    current maximum so repeated loads accumulate instead of clashing. Rows
+    current maximum so repeated loads accumulate instead of clashing; a
+    table whose ids would pass MAX_ID raises IntegrityViolation. Rows
     go in one batch per table, tables in schema order; parents first is
     only the order, as SQLite checks no link on insert.
     """
@@ -267,6 +270,9 @@ def load(rows: RowSet, store: OdsStore) -> LoadReport:
         for table in filled:
             batch = rows.tables[table.name]
             shift = offsets[table.name]
+            if shift + len(batch) > MAX_ID:
+                raise IntegrityViolation(f"table {table.name} has too few ids left: "
+                                         f"{len(batch)} more would pass {MAX_ID}")
             if table.fk is not None:
                 up = offsets[table.parent]
                 params = ([row[ID] + shift, row[FK] + up, *row[POS:]] for row in batch)
@@ -359,9 +365,11 @@ class _Exporter:
 
 def export(store: OdsStore, object_id: int, schema: DtdSchema,
            rschema: RelationalSchema, system_id: str = DEFAULT_SYSTEM_ID) -> str:
-    """Rebuild one loaded document and render it canonically."""
+    """Rebuild one loaded document and render it canonically. An id that no
+    SQLite INTEGER can hold names no document and raises UnknownId."""
     plan = rschema.plan
-    row = store.conn.execute(plan[0].select, (object_id,)).fetchone()
+    row = (store.conn.execute(plan[0].select, (object_id,)).fetchone()
+           if -MAX_ID - 1 <= object_id <= MAX_ID else None)
     if row is None:
         raise UnknownId(rschema.root_table, object_id)
     exporter = _Exporter(store.conn, rschema.root_table, row)

@@ -52,12 +52,13 @@ def tag_lines(tag: str, pad: str) -> tuple:
 
 class Lines:
     """A canonical document's lines, indented by the elements open around
-    them. ``with lines.element(tag):`` wraps its block's lines in `tag`."""
+    them. ``with lines.element(tag):`` wraps its block's lines in `tag`; a
+    block writes at least one, as an element with none is `leaf`'s `<T/>`."""
 
     def __init__(self):
         self.lines = []
         self.pad = ""
-        self.opened = []   # (tag_lines, lines so far, pad, here) per open element
+        self.opened = []   # (tag_lines, pad, here) per open element
         # pad -> {tag: tag_lines(tag, pad)}: a line costs one dict hit, not a call
         self.by_pad = {"": {}}
         self.here = self.by_pad[""]
@@ -70,7 +71,7 @@ class Lines:
     def element(self, tag: str) -> Lines:
         parts = self.here.get(tag) or self.here.setdefault(tag, tag_lines(tag, self.pad))
         self.lines.append(parts[0])
-        self.opened.append((parts, len(self.lines), self.pad, self.here))
+        self.opened.append((parts, self.pad, self.here))
         self.pad = pad = self.pad + INDENT
         self.here = self.by_pad.get(pad) or self.by_pad.setdefault(pad, {})
         return self
@@ -79,12 +80,9 @@ class Lines:
         return self
 
     def __exit__(self, *exc):
-        """Close the innermost element; with no line inside, it is `<T/>`."""
-        parts, mark, self.pad, self.here = self.opened.pop()
-        if len(self.lines) == mark:
-            self.lines[-1] = parts[2]
-        else:
-            self.lines.append(self.pad + parts[1])
+        """Close the innermost element, which must hold a line."""
+        parts, self.pad, self.here = self.opened.pop()
+        self.lines.append(self.pad + parts[1])
 
     def document(self, root_tag: str, system_id: str) -> str:
         """The prolog, the DOCTYPE and the lines, each ending on LF."""

@@ -336,6 +336,14 @@ def test_ingest_with_a_sidecar_that_is_not_utf8(workdir, capsys):
     assert not (workdir / "story.xml").exists()
 
 
+def test_ingest_with_a_missing_sidecar(workdir, capsys):
+    put(workdir, "s.txt", "once\n")
+    assert main(["ingest", "s.txt", "--sidecar", "missing.meta"]) == 2
+    assert one_line_error(capsys) == (
+        "multiform: error: cannot read 'missing.meta': No such file or directory")
+    assert not (workdir / "s.xml").exists()
+
+
 # -- load --------------------------------------------------------------------------
 
 
@@ -401,6 +409,31 @@ def test_export_unknown_id(workdir, capsys):
     ingest_sample(workdir)
     main(["load", "out.xml", "--db", "ods.db"])
     assert main(["export", "--db", "ods.db", "--id", "9"]) == 4
+
+
+def test_export_of_an_id_no_sqlite_integer_holds(workdir, capsys):
+    ingest_sample(workdir)
+    main(["load", "out.xml", "--db", "ods.db"])
+    capsys.readouterr()
+    assert main(["export", "--db", "ods.db", "--id", "99999999999999999999"]) == 4
+    assert one_line_error(capsys) == (
+        "multiform: error: no row with id 99999999999999999999 in table complex_object")
+
+
+def test_load_into_a_store_with_no_ids_left(workdir, capsys):
+    # another writer took the largest id SQLite can hold
+    ingest_sample(workdir)
+    main(["load", "out.xml", "--db", "ods.db"])
+    with sqlite3.connect(workdir / "ods.db") as conn:
+        conn.execute("INSERT INTO complex_object (id) VALUES (9223372036854775807)")
+    conn.close()
+    before = (workdir / "ods.db").read_bytes()
+    capsys.readouterr()
+    assert main(["load", "out.xml", "--db", "ods.db"]) == 2
+    assert one_line_error(capsys) == (
+        "multiform: error: table complex_object has too few ids left: "
+        "1 more would pass 9223372036854775807")
+    assert (workdir / "ods.db").read_bytes() == before
 
 
 def test_a_2000_row_view_goes_through_every_command(workdir, capsys):

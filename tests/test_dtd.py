@@ -149,6 +149,12 @@ def test_syntax_errors_say_what_was_expected_and_found(text, message):
     assert str(err.value) == message
 
 
+def test_a_character_that_starts_no_token_is_reported_on_its_line():
+    with pytest.raises(DtdSyntaxError) as err:
+        parse_dtd("<!ELEMENT A (#PCDATA)>\n$")
+    assert str(err.value) == "line 2: expected a DTD token, found '$'"
+
+
 @pytest.mark.parametrize("text, message", [
     ("<!ELEMENT>", "line 1: expected an element name, found '>'"),
     ("<!ELEMENT A (B)>\n<!ELEMENT", "line 2: expected an element name, found 'end of input'"),
@@ -446,3 +452,28 @@ def test_violations_among_repeated_shapes_keep_their_paths(schema):
     ]
     assert tuples[6] not in report.matches and tuples[11] not in report.matches
     assert report.matches[tuples[8]] is report.matches[tuples[0]]
+
+
+def test_a_failing_shape_is_matched_once_and_each_element_reported(schema,
+                                                                   monkeypatch):
+    n = 50
+    document = view_document(n)
+    for tup in document.iter("TUPLE"):
+        tup.remove(tup[-1])                       # each lacks its last cell
+    automaton = schema._automata["TUPLE"]
+    calls = []
+
+    def counting(names, fail=None):
+        calls.append(names)
+        return _Automaton.match(automaton, names, fail)
+
+    monkeypatch.setattr(automaton, "match", counting)
+    report = validate(document, schema)
+    view_path = "/COMPLEX_OBJECT/SUBDOCUMENT/RELATIONAL_VIEW"
+    assert len(calls) == 1
+    assert [str(v) for v in report.violations] == [
+        f"{view_path}/TUPLE[{k}]: children do not match the content model: at "
+        f"child 4 expected one of {{VALUE}}, found end of children "
+        f"(expected (ATT_NAME_REF, VALUE)+)"
+        for k in range(1, n + 1)]
+    assert not any(tup in report.matches for tup in document.iter("TUPLE"))

@@ -28,6 +28,7 @@ from multiform.extract import (
     extract_subdocument,
     extract_text,
     ingest_relational_view,
+    load_sidecar,
 )
 from multiform.model import PlainText, Sound, TaggedText, Video, apply_sidecar
 from multiform.sidecar import parse_sidecar
@@ -107,6 +108,15 @@ def test_missing_file_is_reported_with_its_path(tmp_path):
     with pytest.raises(FileNotReadable) as err:
         extract_subdocument(str(tmp_path / "gone.wav"), sidecar=record)
     assert "gone.wav" in err.value.path
+
+
+@pytest.mark.parametrize("name", ["gone.meta", "."], ids=["missing", "directory"])
+def test_a_sidecar_that_cannot_be_read_is_reported_with_its_path(tmp_path, name):
+    path = str(tmp_path / name)
+    with pytest.raises(FileNotReadable) as err:
+        load_sidecar(path)
+    assert err.value.path == path
+    assert str(err.value).startswith(f"cannot read {path!r}: ")
 
 
 # -- text ------------------------------------------------------------------------

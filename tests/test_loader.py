@@ -365,6 +365,18 @@ def test_a_value_sqlite_cannot_bind_rolls_the_load_back(schema, rschema):
     assert before["subdocument"] == 1 and before["tuple_g1"] == 0
 
 
+def test_a_table_with_no_ids_left_rolls_the_load_back(schema, rschema):
+    # another writer took the largest id SQLite can hold
+    with OdsStore(rschema) as store:
+        load(shredded(image_doc(schema), schema, rschema), store)
+        store.conn.execute("INSERT INTO complex_object (id) VALUES (?)", (2**63 - 1,))
+        before = store.to_script()
+        with pytest.raises(IntegrityViolation,
+                           match="^table complex_object has too few ids left: "):
+            load(shredded(view_doc(schema), schema, rschema), store)
+        assert store.to_script() == before
+
+
 def test_two_rows_of_a_singular_child_are_rejected(schema, rschema):
     rows = shredded(image_doc(schema), schema, rschema)
     images = rows.tables["image"]
@@ -430,6 +442,15 @@ def test_export_of_an_unknown_id(schema, rschema):
         with pytest.raises(UnknownId) as err:
             export(store, 7, schema, rschema)
     assert err.value.object_id == 7
+
+
+@pytest.mark.parametrize("object_id", [2**63, -2**63 - 1, 10**20])
+def test_export_of_an_id_no_sqlite_integer_holds(schema, rschema, object_id):
+    with OdsStore(rschema) as store:
+        load(shredded(image_doc(schema), schema, rschema), store)
+        with pytest.raises(UnknownId) as err:
+            export(store, object_id, schema, rschema)
+    assert err.value.object_id == object_id
 
 
 def test_export_picks_the_requested_object(schema, rschema):
