@@ -8,7 +8,8 @@ nest at most MAX_GROUP_DEPTH deep. This is enough to express a content
 model as an ordinary regular expression over child element names, so
 validation is plain regular-language matching with a recorded failure
 position. Errors are reported in text order, each with its line; CR, LF
-and CRLF each end a line.
+and CRLF each end a line. Only XML 1.0's whitespace (S, section 2.3:
+space, tab, CR and LF) separates tokens; a no-break space is an error.
 """
 
 from __future__ import annotations
@@ -84,12 +85,12 @@ class DtdSchema:
 # -- lexer ---------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    r"""(?P<ws>[ \t\n]+)
       | (?P<comment><!--.*?-->)
       | (?P<element><!ELEMENT(?![-\w.:]))
       | (?P<decl><!-?[A-Za-z\[][-\w.:\[]*)
       | (?P<pcdata>\#PCDATA)
-      | (?P<pe>%[^\s>]*)
+      | (?P<pe>%[^ \t\n>]*)
       | (?P<name>[A-Za-z_:][-\w.:]*)
       | (?P<lparen>\()
       | (?P<rparen>\))
@@ -322,14 +323,12 @@ def nullable(model) -> bool:
     return True  # PCData
 
 
+@dataclass(frozen=True)
 class _Failure:
     """Where a match failed and the names that would have matched there."""
 
-    __slots__ = ("pos", "expected")
-
-    def __init__(self):
-        self.pos = -1
-        self.expected = set()
+    pos: int
+    expected: set
 
 
 # A content model compiles to a position automaton (Glushkov; Brueggemann-Klein
@@ -453,14 +452,13 @@ class _Automaton:
         self.steps[state] = steps
         return steps
 
-    def match(self, names, fail=None):
+    def match(self, names):
         """The decisions of the first match of the child name sequence, as a
-        tuple, or None.
+        tuple, or a _Failure.
 
-        On failure, fail (a _Failure) is given the first position no thread
-        got past and every name, or "end of children", that was expected
-        there; every state has a step or ends the model, so that set is
-        never empty.
+        A _Failure holds the first position no thread got past and every
+        name, or "end of children", that was expected there; every state has
+        a step or ends the model, so that set is never empty.
         """
         # threads: (state, the decision chains of its steps as a linked list,
         # last first), best first
@@ -478,7 +476,7 @@ class _Automaton:
                         seen.add(q)
                         advanced.append((q, (taken, path) if taken else path))
             if not advanced:
-                return self._fail(threads, at, len(names), fail)
+                return self._fail(threads, at, len(names))
             threads = advanced
         for state, path in threads:
             if state not in built:   # reached by the last child; _fail reads it too
@@ -493,16 +491,15 @@ class _Automaton:
                     if path is None:
                         return tuple(reversed(decisions))
                     taken, path = path
-        return self._fail(threads, len(names), len(names), fail)
+        return self._fail(threads, len(names), len(names))
 
-    def _fail(self, threads, at, total, fail):
-        if fail is not None:
-            fail.pos = at
-            for state, _ in threads:
-                fail.expected.update(self.steps[state])
-                if at < total and self.accept[state] is not None:
-                    fail.expected.add("end of children")
-        return None
+    def _fail(self, threads, at, total):
+        expected = set()
+        for state, _ in threads:
+            expected.update(self.steps[state])
+            if at < total and self.accept[state] is not None:
+                expected.add("end of children")
+        return _Failure(at, expected)
 
 
 # -- validation -------------------------------------------------------------------
@@ -555,11 +552,12 @@ def validate(document, schema: DtdSchema) -> ValidationReport:
     """
     # A match depends only on the element's tag and its children's names, and
     # neither its decisions nor its failure names a child, so `shapes` keeps
-    # each shape's outcome from its one match: the decisions, or the _Failure.
-    # Every element of a failing shape takes its own violation from it. A text
-    # leaf (a declared #PCDATA element with no child elements) has nothing to
-    # check, so it gets neither a path nor a visit. Elements are visited in
-    # document order from an explicit stack, so depth costs no recursion.
+    # each shape's outcome from its one match: the decisions, or the failure's
+    # Violation, rendered once without a path, which every element of the
+    # shape copies at its own path. A text leaf (a declared #PCDATA element
+    # with no child elements) has nothing to check, so it gets neither a path
+    # nor a visit. Elements are visited in document order from an explicit
+    # stack, so depth costs no recursion.
     elements, automata = schema.elements, schema._automata
     out, matches, shapes = [], {}, {}
     path = "/" + document.tag
@@ -594,19 +592,17 @@ def validate(document, schema: DtdSchema) -> ValidationReport:
         shape = (element.tag, tuple(names))
         outcome = shapes.get(shape)
         if outcome is None:
-            fail = _Failure()
-            decisions = automata[element.tag].match(names, fail)
-            outcome = shapes[shape] = fail if decisions is None else decisions
-        if isinstance(outcome, _Failure):
-            at = outcome.pos
-            found = names[at] if at < len(names) else "end of children"
-            expected = ", ".join(sorted(outcome.expected))
-            out.append(Violation(
-                path,
-                f"children do not match the content model: at child {at + 1} "
-                f"expected one of {{{expected}}}, found {found}",
-                expected=render_model(model),
-            ))
+            outcome = automata[element.tag].match(names)
+            if isinstance(outcome, _Failure):
+                at = outcome.pos
+                found = names[at] if at < len(names) else "end of children"
+                expected = ", ".join(sorted(outcome.expected))
+                outcome = Violation("", f"children do not match the content model: at "
+                                    f"child {at + 1} expected one of {{{expected}}}, "
+                                    f"found {found}", expected=render_model(model))
+            shapes[shape] = outcome
+        if isinstance(outcome, Violation):
+            out.append(Violation(path, outcome.message, outcome.expected))
         else:
             matches[element] = outcome
 

@@ -54,12 +54,14 @@ def parse_sidecar(text: str) -> SidecarRecord:
     """Parse sidecar text into a record.
 
     Repeated scalar keys keep the last value; repeated ``keyword`` lines
-    accumulate in order. A leading byte order mark is skipped.
+    accumulate in order. A leading byte order mark is skipped. LF, CRLF and
+    a lone CR each end a line; no other character does.
     """
     keywords: list[str] = []
     scalars: dict[str, str] = {}
     domains: dict[str, str] = {}
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

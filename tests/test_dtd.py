@@ -12,6 +12,7 @@ from multiform.dtd import (
     Repeat,
     Sequence,
     _Automaton,
+    _Failure,
     builtin_dtd_text,
     builtin_schema,
     format_dtd,
@@ -141,9 +142,17 @@ def test_unsupported_or_malformed_declarations(text):
     ("<!ELEMENT A (B,", "line 1: expected an element name or '(', found 'end of input'"),
     ("<!ELEMENT A (B)", "line 1: expected >, found 'end of input'"),
     (")", "line 1: expected <!ELEMENT, found ')'"),
+    ("<!ELEMENT A (#PCDATA)>\n<!ELEMENT\xa0B (#PCDATA)>",
+     "line 2: expected a DTD token, found '\\xa0'"),
+    ("<!ELEMENT\fA (#PCDATA)>", "line 1: expected a DTD token, found '\\x0c'"),
+    ("<!ELEMENT A (B,\n\vB)>", "line 2: expected a DTD token, found '\\x0b'"),
+    ("<!ELEMENT A (#PCDATA)\u2028>", "line 1: expected a DTD token, found '\\u2028'"),
+    ("\n\n\u3000<!ELEMENT A (#PCDATA)>",
+     "line 3: expected a DTD token, found '\\u3000'"),
 ])
 def test_syntax_errors_say_what_was_expected_and_found(text, message):
-    # input that ends early is reported at the line of its last token
+    # input that ends early is reported at the line of its last token; only
+    # space, tab, CR and LF are whitespace between tokens (XML 1.0's S)
     with pytest.raises(DtdSyntaxError) as err:
         parse_dtd(text)
     assert str(err.value) == message
@@ -270,7 +279,7 @@ def test_matching_is_greedy_but_backtracks():
     # B* followed by a required B forces the star to give one back
     model = model_of("<!ELEMENT A (B*, B)>\n<!ELEMENT B (#PCDATA)>")
     assert match(model, ["B", "B", "B"]) == (ITERATE, ITERATE, STOP)
-    assert match(model, []) is None
+    assert match(model, []) == _Failure(0, {"B"})
 
 
 def test_choice_tries_alternatives_in_order():
@@ -281,7 +290,7 @@ def test_choice_tries_alternatives_in_order():
 
 def test_plus_requires_at_least_one():
     model = model_of("<!ELEMENT A (B+)>\n<!ELEMENT B (#PCDATA)>")
-    assert match(model, []) is None
+    assert match(model, []) == _Failure(0, {"B"})
     assert match(model, ["B", "B"]) == (ITERATE, ITERATE, STOP)
 
 
@@ -412,9 +421,9 @@ def test_each_child_shape_is_matched_once_per_document(schema, monkeypatch):
     calls = []
     match = _Automaton.match
 
-    def counting(self, names, fail=None):
+    def counting(self, names):
         calls.append(names)
-        return match(self, names, fail)
+        return match(self, names)
 
     monkeypatch.setattr(_Automaton, "match", counting)
     counts = []
@@ -461,16 +470,22 @@ def test_a_failing_shape_is_matched_once_and_each_element_reported(schema,
     for tup in document.iter("TUPLE"):
         tup.remove(tup[-1])                       # each lacks its last cell
     automaton = schema._automata["TUPLE"]
-    calls = []
+    calls, renders = [], []
 
-    def counting(names, fail=None):
+    def counting(names):
         calls.append(names)
-        return _Automaton.match(automaton, names, fail)
+        return _Automaton.match(automaton, names)
+
+    def counting_render(model):
+        renders.append(model)
+        return render_model(model)
 
     monkeypatch.setattr(automaton, "match", counting)
+    monkeypatch.setattr("multiform.dtd.render_model", counting_render)
     report = validate(document, schema)
     view_path = "/COMPLEX_OBJECT/SUBDOCUMENT/RELATIONAL_VIEW"
     assert len(calls) == 1
+    assert len(renders) == 1
     assert [str(v) for v in report.violations] == [
         f"{view_path}/TUPLE[{k}]: children do not match the content model: at "
         f"child 4 expected one of {{VALUE}}, found end of children "

@@ -26,9 +26,11 @@ xml_text = st.text(st.one_of(
     st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD),
     st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF)))
 
-plain_line = st.text(
+# U+0085, U+2028 and U+2029 end a line for str.splitlines(), not in a sidecar
+plain_line = st.text(st.one_of(
     st.characters(min_codepoint=0x20, max_codepoint=0x7E,
                   blacklist_characters=":#"),
+    st.sampled_from("\x85\u2028\u2029")),
     min_size=1).map(str.strip).filter(bool)
 
 
